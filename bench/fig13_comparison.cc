@@ -8,7 +8,7 @@
 // with radix-join competitive only at the largest cardinalities.
 #include "bench_common.h"
 
-#include "exec/ops.h"
+#include "exec/operator.h"
 #include "util/table_printer.h"
 
 namespace ccdb {
@@ -42,7 +42,7 @@ int Run(int argc, char** argv) {
     for (JoinStrategy s : strategies) {
       JoinPlan plan = PlanJoin(s, c, env.profile);
       JoinStats stats;
-      auto out = ExecuteJoin(l, r, plan, &stats);
+      auto out = ExecuteJoinPlan(l, r, plan, &stats);
       CCDB_CHECK(out.ok());
       CCDB_CHECK(out->size() == c);
       row.push_back(TablePrinter::Fmt(stats.total_ms(), 1));

@@ -239,7 +239,7 @@ int Run(int argc, char** argv) {
   std::printf(
       "\nRatios near 1 validate the formulas; systematic offsets (e.g. the\n"
       "extra histogram read per cluster pass) are documented in\n"
-      "EXPERIMENTS.md 'Known deviations'.\n");
+      "README.md 'Known deviations from the models'.\n");
   return 0;
 }
 

@@ -105,17 +105,13 @@ if [ "$MODE" = "tsan" ]; then
   # concurrent_exec_test (running it twice) and any future *_exec_test into
   # this filter silently.
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
-    -R '^(plan_test|rich_algebra_test|expr_test|exec_test|thread_pool_test|stats_test|serve_test|concurrent_exec_test|shared_scan_test|exchange_test|mem_arena_test)$'
+    -R '^(plan_test|rich_algebra_test|expr_test|exec_test|thread_pool_test|stats_test|serve_test|concurrent_exec_test|shared_scan_test|mem_arena_test)$'
   echo "== concurrent serving smoke under TSan =="
   "$BUILD_DIR/concurrent_serving" --smoke
   echo "== shared scan smoke under TSan =="
   # K client threads on one cooperative table cursor: the TSan pass over
   # the shared-scan registry (drive/fan-out/detach under concurrency).
   "$BUILD_DIR/shared_scan" --smoke
-  echo "== exchange smoke under TSan =="
-  # Partitioned join+agg through the exchange operators: the TSan pass over
-  # the bounded channels, the merge collector, and pump/worker lifecycles.
-  "$BUILD_DIR/exchange" --smoke
   echo "== tlb_pages smoke under TSan =="
   # Arena allocate/advise/free cycles (mmap registry under the arena mutex)
   # exercised from the huge-page A/B kernels.
@@ -153,11 +149,6 @@ echo "== bench artifact (BENCH_ci.json) =="
 # scans) merged too; the run asserts sharing is >= 1.3x better on qps or
 # p99 — a work-elimination win, so it holds even at hardware_concurrency=1.
 "$BUILD_DIR/shared_scan" --json-merge="$BUILD_DIR/BENCH_ci.json"
-# Exchange A/B (local vs forced repartition vs forced broadcast vs the
-# cost-modeled auto choice on a join+agg workload) merged too; the run
-# asserts every exchanged plan is byte-identical to the local one and that
-# auto's strategy matches the transfer-byte arithmetic.
-"$BUILD_DIR/exchange" --json-merge="$BUILD_DIR/BENCH_ci.json"
 # Huge-page vs base-page A/B (scan / gather / radix-cluster / join build on
 # arena mappings) merged too. The section records page_size, thp_available
 # and the huge-page bytes the kernel actually granted; when nothing was

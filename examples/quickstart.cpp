@@ -13,7 +13,7 @@
 
 #include "algo/partitioned_hash_join.h"
 #include "algo/simple_hash_join.h"
-#include "exec/ops.h"
+#include "exec/operator.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -40,7 +40,7 @@ int main() {
 
   // ---- 3. execute and compare against the naive baseline ------------------
   JoinStats stats;
-  auto result = ExecuteJoin(orders, lineitems, plan, &stats);
+  auto result = ExecuteJoinPlan(orders, lineitems, plan, &stats);
   CCDB_CHECK(result.ok());
   std::printf("cache-conscious: %8.1f ms  (%.1f cluster + %.1f join), %zu pairs\n",
               stats.total_ms(), stats.cluster_left_ms + stats.cluster_right_ms,

@@ -75,27 +75,6 @@ struct ScheduleContext {
   }
 };
 
-/// How the planner may use exchange operators (src/dist/) when
-/// `ExecOptions::partitions > 1`. Lives here (not in dist/) because the
-/// knob rides ExecOptions through PlannerOptions; dist/ depends on exec/,
-/// never the reverse.
-enum class ExchangePolicy : uint8_t {
-  kOff,    ///< never insert exchanges; plans are byte-identical to the
-           ///< single-context engine regardless of `partitions`
-  kAuto,   ///< cost-based: exchange only where the transfer term plus the
-           ///< per-partition §3.4 cost beats the colocated plan (default)
-  kForce,  ///< always exchange partitionable joins/aggregations; strategy
-           ///< choice (repartition vs broadcast) stays transfer-cost-based
-};
-
-/// Data-movement strategy of one exchange node. kNone in ExecOptions means
-/// "let the transfer model choose"; in ExchangeNodeInfo it never appears.
-enum class ExchangeStrategy : uint8_t {
-  kNone,         ///< no forced strategy (options) / no exchange (planner)
-  kRepartition,  ///< hash-partition both inputs on the key
-  kBroadcast,    ///< replicate the small side, forward the large side
-};
-
 /// Execution knobs, orthogonal to plan shape: the same LogicalPlan runs at
 /// any parallelism with identical results (modulo row order of unordered
 /// group-by output at parallelism > 1).
@@ -126,27 +105,6 @@ struct ExecOptions {
   /// ScanOps — byte-identical to the provider-free engine. Owned by the
   /// caller (typically serve::Server), must outlive plan execution.
   SharedScanProvider* shared_scans = nullptr;
-
-  /// Shared-nothing worker partitions for exchange-lowered plans
-  /// (src/dist/exchange.h). 1 (default) inserts no exchange operators and
-  /// is byte-identical to the single-context engine; N > 1 lets the
-  /// planner split partitionable joins/aggregations across N worker
-  /// contexts, pricing the data movement with the CostModel transfer term.
-  size_t partitions = 1;
-
-  /// When and how the planner may exchange (see ExchangePolicy). Ignored
-  /// while `partitions <= 1`.
-  ExchangePolicy exchange = ExchangePolicy::kAuto;
-
-  /// Force a specific exchange strategy (bench A/B + tests). kNone
-  /// (default) picks the cheaper estimated transfer per node.
-  ExchangeStrategy exchange_strategy = ExchangeStrategy::kNone;
-
-  /// Route exchange chunks through the length-prefixed wire format
-  /// (dist/wire.h, SerializedChunkTransport) instead of moving them as
-  /// in-process objects. Same results, pays the serialization cost — the
-  /// rehearsal mode for cross-process workers.
-  bool serialize_exchange = false;
 };
 
 /// Resolved ExecOptions (owned by PhysicalPlan, borrowed by operators).
@@ -155,10 +113,6 @@ struct ExecContext {
   size_t parallelism = 1;
   ScheduleContext* sched = nullptr;
   SharedScanProvider* shared_scans = nullptr;
-  /// Resolved partition count (>= 1); exchange operators were inserted by
-  /// the planner iff some ExchangeNodeInfo exists, so operators only read
-  /// this for sizing decisions.
-  size_t partitions = 1;
 
   bool parallel() const { return parallelism > 1 && pool != nullptr; }
 

@@ -101,8 +101,9 @@ struct Chunk {
 /// shape) into one; used by pipeline breakers.
 StatusOr<Chunk> ConcatChunks(std::vector<Chunk> chunks);
 
-/// Dispatches a resolved JoinPlan to the concrete join kernel. Shared by
-/// JoinOp and the legacy ExecuteJoin wrapper in exec/ops.h.
+/// Dispatches a resolved JoinPlan to the concrete join kernel over raw BUN
+/// spans. JoinOp runs every join through it; benches and tests call it to
+/// drive one kernel without building a plan.
 StatusOr<std::vector<Bun>> ExecuteJoinPlan(std::span<const Bun> l,
                                            std::span<const Bun> r,
                                            const JoinPlan& plan,

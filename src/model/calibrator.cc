@@ -78,7 +78,7 @@ namespace {
 
 double MeasureCopyNsPerByte() {
   // 8 MB source/destination: past L2 on any profiled machine, so the copy
-  // streams through memory like an exchange payload does. Best of a few
+  // streams through memory like a sequential scan does. Best of a few
   // reps filters scheduler noise.
   constexpr size_t kBytes = 8 * 1024 * 1024;
   constexpr int kReps = 5;

@@ -45,13 +45,12 @@ double MeasureChaseNs(size_t ws_bytes, size_t stride_bytes,
 /// host instead of the generic profile.
 size_t MeasuredL2CacheBytes();
 
-/// The host's large-copy bandwidth as ns per byte — the price of moving
-/// one payload byte through an in-process exchange edge (dist/), measured
-/// with a memory-to-memory copy over an L2-spilling buffer. Cached after
-/// the first call (one ~milliseconds measurement per process); returns 0
-/// when the clock cannot resolve the copy, in which case callers fall back
-/// to a latency-derived estimate from their MachineProfile. Consumed by
-/// the planner's exchange transfer term (CostModel::Transfer).
+/// The host's large-copy bandwidth as ns per byte, measured with a
+/// memory-to-memory copy over an L2-spilling buffer. Cached after the first
+/// call (one ~milliseconds measurement per process); returns 0 when the
+/// clock cannot resolve the copy. Consumed by MeasuredHostProfile(), which
+/// prices one sequential (prefetched) cache-line miss as one line of this
+/// copy stream (MachineProfile::lat.mem_seq_ns).
 double MeasuredCopyNsPerByte();
 
 /// The host's TLB as measured by a differential page-stride pointer chase

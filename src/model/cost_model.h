@@ -127,27 +127,6 @@ class CostModel {
   int BestRadixBits(uint64_t c, int max_bits = 27) const;
   int BestPhashBits(uint64_t c, int max_bits = 27) const;
 
-  // -- exchange transfer term (dist/) ---------------------------------------
-
-  /// Cost of moving `bytes` across one exchange edge at `ns_per_byte`
-  /// (calibrated copy bandwidth, MeasuredCopyNsPerByte; latency-derived
-  /// fallback when the host cannot be measured). The network — today, the
-  /// in-process channel — is priced like one more level of the memory
-  /// hierarchy. The whole price lands in cpu_ns: end-to-end bandwidth
-  /// already folds the miss events in, so adding miss terms on top would
-  /// double-count them.
-  ModelPrediction Transfer(double bytes, double ns_per_byte) const {
-    ModelPrediction p;
-    p.cpu_ns = bytes * ns_per_byte;
-    return p;
-  }
-
-  /// Latency-derived ns-per-byte fallback: one memory access per cache
-  /// line of payload.
-  double FallbackCopyNsPerByte() const {
-    return m_.lat.mem_ns / static_cast<double>(m_.l2.line_bytes);
-  }
-
   // -- translation (page-walk) term -----------------------------------------
 
   /// Nanoseconds of page-walk stall for `tlb_misses` translations, priced

@@ -40,17 +40,6 @@ size_t CountNodes(const LogicalNode& n) {
   return c;
 }
 
-/// Nodes the planner may lower as an exchange (dist/exchange.h): joins and
-/// group-bys. Bounds the extra OpCostInfo records (one transfer-term
-/// annotation per exchange) and the ExchangeNodeInfo pool — both
-/// preallocated because operators hold raw pointers into them.
-size_t CountExchangeSites(const LogicalNode& n) {
-  size_t c =
-      n.op == LogicalOp::kJoin || n.op == LogicalOp::kGroupByAgg ? 1 : 0;
-  for (const auto& child : n.children) c += CountExchangeSites(*child);
-  return c;
-}
-
 // --- measured actuals --------------------------------------------------------
 
 /// Decorator recording an operator's inclusive wall time (Open + every
@@ -244,14 +233,6 @@ struct LowerCtx {
   std::vector<FilterNodeInfo>* filters = nullptr;
   std::vector<OpCostInfo>* costs = nullptr;
   size_t next_cost = 0;
-  std::vector<ExchangeNodeInfo>* exchanges = nullptr;
-  size_t next_exchange = 0;
-  /// Calibrated in-process copy bandwidth pricing the exchange transfer
-  /// term (model/calibrator.h); 0 when exchanges are disabled for this plan.
-  double xfer_ns_per_byte = 0;
-
-  /// Resolved partition count; exchanges are considered only above 1.
-  size_t Partitions() const { return ctx->partitions; }
 
   OpCostInfo* NewCost(std::string label, int depth, int parent) {
     OpCostInfo* info = &(*costs)[next_cost++];
@@ -321,48 +302,6 @@ bool ChainReorderSafe(const LogicalNode& base,
   return true;
 }
 
-// --- exchange lowering (dist/) ----------------------------------------------
-
-/// Estimated payload bytes per row of a stream, from the base-table strides
-/// of its visible columns (derived columns price at their 8-byte owned
-/// spans) — the same per-row view ChunkPayloadBytes counts at runtime.
-double StreamRowBytes(const std::vector<std::string>& layout,
-                      const ColumnSourceMap& src) {
-  size_t bytes = 0;
-  for (const std::string& name : layout) bytes += ColumnStride(src, name);
-  return static_cast<double>(std::max<size_t>(bytes, 1));
-}
-
-const char* ExchangeStrategyLabel(ExchangeStrategy s) {
-  return s == ExchangeStrategy::kBroadcast ? "broadcast" : "repartition";
-}
-
-/// Allocates the exchange's plan-visible record plus its transfer-term
-/// annotation (a leaf OpCostInfo child of the exchanged operator, so
-/// ExplainCosts reports predicted-vs-measured bytes per exchange node).
-ExchangeNodeInfo* NewExchangeInfo(ExchangeStrategy strategy, size_t nparts,
-                                  double xfer_bytes,
-                                  const ModelPrediction& xfer,
-                                  double repart_bytes, double bcast_bytes,
-                                  uint64_t est_rows_moved, int depth,
-                                  int parent, LowerCtx& c) {
-  OpCostInfo* xcost = c.NewCost(
-      std::string("Exchange(") + ExchangeStrategyLabel(strategy) + ", " +
-          std::to_string(nparts) + "p)",
-      depth, parent);
-  xcost->estimated_rows = est_rows_moved;
-  FillPrediction(xcost, xfer, c.options->profile.lat);
-  ExchangeNodeInfo* xinfo = &(*c.exchanges)[c.next_exchange++];
-  xinfo->strategy = strategy;
-  xinfo->partitions = nparts;
-  xinfo->predicted_transfer_bytes = xfer_bytes;
-  xinfo->predicted_transfer_ns = xfer.total_ns(c.options->profile.lat);
-  xinfo->repartition_bytes = repart_bytes;
-  xinfo->broadcast_bytes = bcast_bytes;
-  xinfo->cost_index = c.CostIndex(xcost);
-  return xinfo;
-}
-
 /// Lowers one join of a chain (or a lone join): lowers the inner subtree,
 /// allocates the JoinNodeInfo, records estimates, and wraps everything in
 /// a timed JoinOp.
@@ -410,132 +349,13 @@ StatusOr<Lowered> LowerOneJoin(Lowered left, uint64_t est_probe,
   cost->estimated_rows = est_out;
   FillPrediction(cost, pred, profile.lat);
 
-  // --- scale-out decision (§3.4 terms vs the transfer term) -----------------
-  // Repartition hashes both inputs across the partitions (moves |L|+|R|
-  // once); broadcast replicates the inner to every partition (moves N*|R|)
-  // and forwards probe chunks zero-copy. Broadcast wins exactly when its
-  // transfer bytes are strictly cheaper; the exchanged plan as a whole must
-  // then beat the local §3.4 prediction (partitions run concurrently, so
-  // per-partition compute approximates wall time) unless kForce overrides.
-  std::unique_ptr<Operator> op;
-  const size_t nparts = c.Partitions();
-  if (nparts > 1 && c.options->exec.exchange != ExchangePolicy::kOff) {
-    double bytes_probe =
-        static_cast<double>(est_probe) * StreamRowBytes(left.layout, probe_src);
-    double bytes_inner = static_cast<double>(est_inner) *
-                         StreamRowBytes(right.layout, inner_src);
-    double repart_bytes = bytes_probe + bytes_inner;
-    double bcast_bytes = static_cast<double>(nparts) * bytes_inner;
-    ExchangeStrategy strat =
-        c.options->exec.exchange_strategy != ExchangeStrategy::kNone
-            ? c.options->exec.exchange_strategy
-            : (bcast_bytes < repart_bytes ? ExchangeStrategy::kBroadcast
-                                          : ExchangeStrategy::kRepartition);
-    bool broadcast = strat == ExchangeStrategy::kBroadcast;
-    double xfer_bytes = broadcast ? bcast_bytes : repart_bytes;
-    ModelPrediction xfer = c.model->Transfer(xfer_bytes, c.xfer_ns_per_byte);
-
-    uint64_t part_probe = std::max<uint64_t>(est_probe / nparts, 1);
-    uint64_t part_inner = broadcast ? est_inner : est_inner / nparts;
-    JoinPlan part_plan =
-        part_inner == 0 ? PlanJoin(JoinStrategy::kSimpleHash, 0, profile)
-                        : PlanJoin(e.strategy, part_inner, profile);
-    ModelPrediction exch_pred =
-        JoinModelPrediction(*c.model, part_plan, part_inner, part_probe);
-    exch_pred += ScanRowsPrediction(profile, static_cast<double>(part_probe),
-                                    ColumnStride(probe_src, e.left_key));
-    exch_pred += xfer;
-
-    if (c.options->exec.exchange == ExchangePolicy::kForce ||
-        exch_pred.total_ns(profile.lat) < pred.total_ns(profile.lat)) {
-      ExchangeNodeInfo* xinfo = NewExchangeInfo(
-          strat, nparts, xfer_bytes, xfer, repart_bytes, bcast_bytes,
-          est_probe + est_inner, depth + 1, self, c);
-
-      // Each partition joins with its own JoinNodeInfo; Close() folds the
-      // actuals back into the plan-visible record allocated above.
-      auto winfos = std::make_shared<std::vector<JoinNodeInfo>>(nparts);
-      for (JoinNodeInfo& w : *winfos) {
-        w.left_key = e.left_key;
-        w.right_key = e.right_key;
-        w.join_type = join_node.join_type;
-        w.estimated_inner_cardinality = part_inner;
-        w.estimated_probe_cardinality = part_probe;
-      }
-      std::string lk = e.left_key, rk = e.right_key;
-      JoinType jt = join_node.join_type;
-      JoinStrategy js = e.strategy;
-      uint64_t est_out_part = std::max<uint64_t>(est_out / nparts, 1);
-      FragmentFactory factory =
-          [winfos, lk, rk, jt, js, profile, est_out_part, part_probe](
-              size_t p, std::vector<std::unique_ptr<Operator>> ins,
-              const ExecContext* wctx) -> StatusOr<std::unique_ptr<Operator>> {
-        std::unique_ptr<Operator> join = std::make_unique<JoinOp>(
-            std::move(ins[0]), std::move(ins[1]), lk, rk, jt, js, profile,
-            &(*winfos)[p], wctx, est_out_part, part_probe);
-        return join;
-      };
-      JoinNodeInfo* plan_info = info;
-      std::function<void()> fold = [winfos, plan_info, broadcast] {
-        plan_info->inner_cardinality = 0;
-        plan_info->partition_tasks = 0;
-        plan_info->inner_cluster_runs = 0;
-        plan_info->stats = JoinStats{};
-        bool first = true;
-        for (const JoinNodeInfo& w : *winfos) {
-          // A broadcast inner is the same relation N times over; count it
-          // once. Repartitioned inners tile it, so they sum.
-          plan_info->inner_cardinality =
-              broadcast
-                  ? std::max(plan_info->inner_cardinality, w.inner_cardinality)
-                  : plan_info->inner_cardinality + w.inner_cardinality;
-          plan_info->partition_tasks += w.partition_tasks;
-          plan_info->inner_cluster_runs += w.inner_cluster_runs;
-          plan_info->stats.result_count += w.stats.result_count;
-          plan_info->stats.cluster_left_ms += w.stats.cluster_left_ms;
-          plan_info->stats.cluster_right_ms += w.stats.cluster_right_ms;
-          plan_info->stats.join_ms += w.stats.join_ms;
-          if (first) {
-            plan_info->plan = w.plan;
-            plan_info->parallelism = w.parallelism;
-            plan_info->stats.bits = w.stats.bits;
-            plan_info->stats.passes = w.stats.passes;
-            first = false;
-          }
-        }
-      };
-
-      std::vector<ExchangeInputSpec> specs(2);
-      specs[0].producer = std::move(left.op);
-      specs[0].routing =
-          broadcast ? ExchangeRouting::kForward : ExchangeRouting::kHash;
-      specs[0].key_column = e.left_key;
-      specs[0].count_bytes = !broadcast;  // forwarded edges price at 0
-      specs[1].producer = std::move(right.op);
-      specs[1].routing =
-          broadcast ? ExchangeRouting::kBroadcast : ExchangeRouting::kHash;
-      specs[1].key_column = e.right_key;
-      ExchangeOptions xopts;
-      xopts.partitions = nparts;
-      xopts.serialize = c.options->exec.serialize_exchange;
-      xopts.on_close = std::move(fold);
-      op = std::make_unique<ExchangeMergeOp>(std::move(specs),
-                                             std::move(factory),
-                                             std::move(xopts), c.ctx, xinfo);
-      // The join record now predicts the exchanged plan: per-partition
-      // join + the transfer term.
-      FillPrediction(cost, exch_pred, profile.lat);
-    }
-  }
-  if (op == nullptr) {
-    op = std::make_unique<JoinOp>(
-        std::move(left.op), std::move(right.op), e.left_key, e.right_key,
-        join_node.join_type, e.strategy, profile, info, c.ctx, est_out,
-        est_probe);
-  }
-
   Lowered out;
-  out.op = std::make_unique<TimedOperator>(std::move(op), cost);
+  out.op = std::make_unique<TimedOperator>(
+      std::make_unique<JoinOp>(std::move(left.op), std::move(right.op),
+                               e.left_key, e.right_key, join_node.join_type,
+                               e.strategy, profile, info, c.ctx, est_out,
+                               est_probe),
+      cost);
   out.root_cost = self;
   out.layout = std::move(left.layout);
   if (join_node.join_type != JoinType::kSemi &&
@@ -829,72 +649,12 @@ StatusOr<Lowered> LowerNode(const LogicalNode& n, int depth, int parent,
       p += GroupProbePrediction(profile, rows, group_bytes);
       FillPrediction(cost, p, profile.lat);
 
-      // Scale-out: repartition the input by hash of the first group column
-      // — rows with equal full grouping keys share it, so every group
-      // materializes in exactly one partition and the merge is pure
-      // concatenation (no re-aggregation). Broadcast never applies to an
-      // aggregation (replicated rows would be double-counted), so a forced
-      // broadcast strategy hint is ignored here.
-      std::unique_ptr<Operator> agg_op;
-      const size_t nparts = c.Partitions();
-      if (nparts > 1 && c.options->exec.exchange != ExchangePolicy::kOff &&
-          !n.group_cols.empty()) {
-        double bytes_in = rows * StreamRowBytes(child.layout, src);
-        ModelPrediction xfer = c.model->Transfer(bytes_in, c.xfer_ns_per_byte);
-        double part_rows = rows / static_cast<double>(nparts);
-        ModelPrediction exch_pred;
-        for (const std::string& g : n.group_cols) {
-          exch_pred +=
-              ScanRowsPrediction(profile, part_rows, ColumnStride(src, g));
-        }
-        for (const std::string& v : value_cols) {
-          exch_pred +=
-              ScanRowsPrediction(profile, part_rows, ColumnStride(src, v));
-        }
-        exch_pred += GroupProbePrediction(
-            profile, part_rows,
-            group_bytes / static_cast<double>(nparts));
-        exch_pred += xfer;
-        if (c.options->exec.exchange == ExchangePolicy::kForce ||
-            exch_pred.total_ns(profile.lat) < p.total_ns(profile.lat)) {
-          ExchangeNodeInfo* xinfo = NewExchangeInfo(
-              ExchangeStrategy::kRepartition, nparts, bytes_in, xfer,
-              bytes_in, /*bcast_bytes=*/0.0, child.est_rows, depth + 1, self,
-              c);
-          std::vector<std::string> gcols = n.group_cols;
-          std::vector<AggSpec> aggs = n.aggs;
-          size_t est_groups_part = std::max<size_t>(
-              static_cast<size_t>(est_groups) / nparts, 16);
-          FragmentFactory factory =
-              [gcols, aggs, est_groups_part](
-                  size_t, std::vector<std::unique_ptr<Operator>> ins,
-                  const ExecContext* wctx)
-              -> StatusOr<std::unique_ptr<Operator>> {
-            std::unique_ptr<Operator> agg = std::make_unique<GroupByAggOp>(
-                std::move(ins[0]), gcols, aggs, wctx, est_groups_part);
-            return agg;
-          };
-          std::vector<ExchangeInputSpec> specs(1);
-          specs[0].producer = std::move(child.op);
-          specs[0].routing = ExchangeRouting::kHash;
-          specs[0].key_column = n.group_cols[0];
-          ExchangeOptions xopts;
-          xopts.partitions = nparts;
-          xopts.serialize = c.options->exec.serialize_exchange;
-          agg_op = std::make_unique<ExchangeMergeOp>(
-              std::move(specs), std::move(factory), std::move(xopts), c.ctx,
-              xinfo);
-          FillPrediction(cost, exch_pred, profile.lat);
-        }
-      }
-      if (agg_op == nullptr) {
-        agg_op = std::make_unique<GroupByAggOp>(
-            std::move(child.op), n.group_cols, n.aggs, c.ctx,
-            static_cast<size_t>(est_groups));
-      }
-
       Lowered out;
-      out.op = std::make_unique<TimedOperator>(std::move(agg_op), cost);
+      out.op = std::make_unique<TimedOperator>(
+          std::make_unique<GroupByAggOp>(std::move(child.op), n.group_cols,
+                                         n.aggs, c.ctx,
+                                         static_cast<size_t>(est_groups)),
+          cost);
       out.root_cost = self;
       out.layout = n.group_cols;
       for (const AggSpec& a : n.aggs) out.layout.push_back(a.output_name);
@@ -953,14 +713,10 @@ StatusOr<Lowered> LowerNode(const LogicalNode& n, int depth, int parent,
 StatusOr<PhysicalPlan> Planner::Lower(const LogicalPlan& plan) const {
   auto joins =
       std::make_unique<std::vector<JoinNodeInfo>>(CountJoins(plan.root()));
-  // Cost records: one per logical node, plus headroom for the transfer-term
-  // annotation each exchange may add. Operators keep raw pointers into the
-  // vector, so it is preallocated here and only ever shrunk after lowering.
-  size_t exchange_sites = CountExchangeSites(plan.root());
-  auto costs = std::make_unique<std::vector<OpCostInfo>>(
-      CountNodes(plan.root()) + exchange_sites);
-  auto exchanges =
-      std::make_unique<std::vector<ExchangeNodeInfo>>(exchange_sites);
+  // Cost records: one per logical node. Operators keep raw pointers into
+  // the vector, so it is preallocated here and never resized.
+  auto costs =
+      std::make_unique<std::vector<OpCostInfo>>(CountNodes(plan.root()));
   // Resolve ExecOptions into the context the operators borrow: parallelism
   // 0 means every hardware thread; a null pool means the process-shared
   // one (only reached for, and lazily created at, parallelism > 1).
@@ -974,8 +730,6 @@ StatusOr<PhysicalPlan> Planner::Lower(const LogicalPlan& plan) const {
   }
   ctx->sched = options_.exec.sched;
   ctx->shared_scans = options_.exec.shared_scans;
-  ctx->partitions =
-      options_.exec.partitions == 0 ? 1 : options_.exec.partitions;
   size_t chunk_rows = options_.exec.scan_chunk_rows;
   if (chunk_rows == 0) {
     // Auto chunk: one cache-sized morsel per worker per chunk, so the
@@ -996,16 +750,6 @@ StatusOr<PhysicalPlan> Planner::Lower(const LogicalPlan& plan) const {
   std::vector<FilterNodeInfo> filters;
   lower_ctx.filters = &filters;
   lower_ctx.costs = costs.get();
-  lower_ctx.exchanges = exchanges.get();
-  if (ctx->partitions > 1 &&
-      options_.exec.exchange != ExchangePolicy::kOff) {
-    // One ~ms calibration per process, and only for plans that can
-    // actually exchange; partitions == 1 plans never pay it.
-    lower_ctx.xfer_ns_per_byte = MeasuredCopyNsPerByte();
-    if (lower_ctx.xfer_ns_per_byte <= 0) {
-      lower_ctx.xfer_ns_per_byte = model.FallbackCopyNsPerByte();
-    }
-  }
 
   CCDB_ASSIGN_OR_RETURN(Lowered root,
                         LowerNode(plan.root(), /*depth=*/0, /*parent=*/-1,
@@ -1013,10 +757,6 @@ StatusOr<PhysicalPlan> Planner::Lower(const LogicalPlan& plan) const {
   if (root.op == nullptr) {
     return Status::Internal("planner produced no operator tree");
   }
-  // Trim unused headroom (shrinking never reallocates — the raw pointers
-  // operators hold stay valid).
-  costs->resize(lower_ctx.next_cost);
-  exchanges->resize(lower_ctx.next_exchange);
 
   // Map the (possibly join-reordered) physical column order back onto the
   // Build() output schema: each schema column takes the first unused
@@ -1045,7 +785,7 @@ StatusOr<PhysicalPlan> Planner::Lower(const LogicalPlan& plan) const {
 
   return PhysicalPlan(std::move(root.op), schema, std::move(output_map),
                       std::move(joins), std::move(filters), std::move(costs),
-                      std::move(exchanges), std::move(ctx), options_.profile);
+                      std::move(ctx), options_.profile);
 }
 
 StatusOr<QueryResult> PhysicalPlan::Execute() {
@@ -1209,27 +949,6 @@ std::string PhysicalPlan::ExplainCosts() const {
                   op.predicted_tlb_misses,
                   op.predicted_tlb_misses * profile_.lat.tlb_ns * 1e-6);
     out += line;
-    // Exchange annotation records carry the transfer term: predicted vs
-    // measured bytes, and (for joins) the margin the strategy decision
-    // compared. Aggregation exchanges have no broadcast alternative.
-    for (const ExchangeNodeInfo& x : *exchanges_) {
-      if (x.cost_index != static_cast<int>(i)) continue;
-      if (x.broadcast_bytes > 0) {
-        std::snprintf(
-            line, sizeof(line),
-            "%*s  xfer pred %.1f KB  meas %.1f KB  "
-            "(repartition %.1f KB vs broadcast %.1f KB)\n",
-            op.depth * 2, "", x.predicted_transfer_bytes / 1024.0,
-            static_cast<double>(x.measured_transfer_bytes) / 1024.0,
-            x.repartition_bytes / 1024.0, x.broadcast_bytes / 1024.0);
-      } else {
-        std::snprintf(line, sizeof(line),
-                      "%*s  xfer pred %.1f KB  meas %.1f KB\n", op.depth * 2,
-                      "", x.predicted_transfer_bytes / 1024.0,
-                      static_cast<double>(x.measured_transfer_bytes) / 1024.0);
-      }
-      out += line;
-    }
   }
   // Plan-level translation term: the model's page-walk prediction priced at
   // the profile's lTLB against the hardware dTLB-miss count (driver thread,

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "dist/exchange.h"
 #include "exec/operator.h"
 #include "exec/plan.h"
 #include "exec/result.h"
@@ -120,14 +119,6 @@ class PhysicalPlan {
   /// Lower() time (filters need no runtime cardinality).
   const std::vector<FilterNodeInfo>& filters() const { return filters_; }
 
-  /// Per-exchange diagnostics (dist/exchange.h): the repartition-vs-
-  /// broadcast decision, predicted transfer bytes/ns, and the bytes that
-  /// actually crossed the transports (folded at Close()). Empty unless
-  /// ExecOptions::partitions > 1 put exchanges in the plan.
-  const std::vector<ExchangeNodeInfo>& exchanges() const {
-    return *exchanges_;
-  }
-
   /// Human-readable summary of the filter lowering: one block per
   /// Select/Having node with the normalized tree and the
   /// selectivity-ordered evaluation order.
@@ -177,7 +168,6 @@ class PhysicalPlan {
                std::unique_ptr<std::vector<JoinNodeInfo>> joins,
                std::vector<FilterNodeInfo> filters,
                std::unique_ptr<std::vector<OpCostInfo>> costs,
-               std::unique_ptr<std::vector<ExchangeNodeInfo>> exchanges,
                std::unique_ptr<ExecContext> ctx, MachineProfile profile)
       : root_(std::move(root)),
         output_schema_(std::move(output_schema)),
@@ -185,7 +175,6 @@ class PhysicalPlan {
         joins_(std::move(joins)),
         filters_(std::move(filters)),
         costs_(std::move(costs)),
-        exchanges_(std::move(exchanges)),
         ctx_(std::move(ctx)),
         profile_(std::move(profile)) {}
 
@@ -197,7 +186,6 @@ class PhysicalPlan {
   std::unique_ptr<std::vector<JoinNodeInfo>> joins_;  // stable addresses
   std::vector<FilterNodeInfo> filters_;
   std::unique_ptr<std::vector<OpCostInfo>> costs_;    // stable addresses
-  std::unique_ptr<std::vector<ExchangeNodeInfo>> exchanges_;  // stable
   std::unique_ptr<ExecContext> ctx_;                  // borrowed by operators
   MachineProfile profile_;
   MemEvents hw_events_;     // driver-thread perf counters, last Execute()

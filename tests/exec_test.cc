@@ -5,8 +5,10 @@
 
 #include <map>
 
-#include "exec/ops.h"
+#include "exec/operator.h"
+#include "exec/plan.h"
 #include "exec/table.h"
+#include "model/planner.h"
 #include "util/rng.h"
 
 namespace ccdb {
@@ -129,17 +131,6 @@ TEST(TableTest, MemoryFootprintBeatsNsm) {
   EXPECT_LT(t.MemoryBytes(), nsm_bytes);
 }
 
-TEST(ColumnBunsTest, ExtractsOidValuePairs) {
-  Table t = *Table::FromRowStore(MakeItems(6));
-  auto buns = ColumnBuns(t, "order");
-  ASSERT_TRUE(buns.ok());
-  ASSERT_EQ(buns->size(), 6u);
-  EXPECT_EQ((*buns)[0], (Bun{0, 0}));
-  EXPECT_EQ((*buns)[5], (Bun{5, 1}));
-  EXPECT_EQ(ColumnBuns(t, "price").status().code(),
-            StatusCode::kInvalidArgument);  // f64 tail not BUN-able
-}
-
 TEST(ExecuteJoinTest, AllStrategiesProduceSameResult) {
   Rng rng(3);
   constexpr size_t kN = 2000;
@@ -157,7 +148,7 @@ TEST(ExecuteJoinTest, AllStrategiesProduceSameResult) {
     return v;
   };
   JoinPlan ref_plan = PlanJoin(JoinStrategy::kSimpleHash, kN, m);
-  auto ref = ExecuteJoin(l, r, ref_plan);
+  auto ref = ExecuteJoinPlan(l, r, ref_plan);
   ASSERT_TRUE(ref.ok());
   auto expect = canon(*ref);
   for (JoinStrategy s : {JoinStrategy::kSortMerge, JoinStrategy::kPhashL2,
@@ -167,48 +158,58 @@ TEST(ExecuteJoinTest, AllStrategiesProduceSameResult) {
                          JoinStrategy::kBest}) {
     JoinPlan plan = PlanJoin(s, kN, m);
     JoinStats stats;
-    auto got = ExecuteJoin(l, r, plan, &stats);
+    auto got = ExecuteJoinPlan(l, r, plan, &stats);
     ASSERT_TRUE(got.ok()) << JoinStrategyName(s);
     EXPECT_EQ(canon(*got), expect) << JoinStrategyName(s);
     EXPECT_EQ(stats.result_count, got->size());
   }
 }
 
-TEST(MaterializeJoinTest, ProjectsBothSides) {
+TEST(JoinProjectTest, ProjectsBothSides) {
   auto orders_rows = RowStore::Make(
       {{"order_id", FieldType::kU32}, {"clerk", FieldType::kChar10}}, 4);
   ASSERT_TRUE(orders_rows.ok());
   const char* clerks[] = {"ann", "bob", "cho", "dee"};
   for (uint32_t i = 0; i < 4; ++i) {
     size_t r = *orders_rows->AppendRow();
-    orders_rows->SetU32(r, 0, 100 + i);
+    orders_rows->SetU32(r, 0, i);
     orders_rows->SetBytes(r, 1, clerks[i], strlen(clerks[i]));
   }
   Table orders = *Table::FromRowStore(*orders_rows);
-  Table items = *Table::FromRowStore(MakeItems(8));
+  Table items = *Table::FromRowStore(MakeItems(12));  // order = i/3: 0..3
 
-  // Join index: item oid i <-> order oid i % 4 (hand-built).
-  std::vector<Bun> idx;
-  for (uint32_t i = 0; i < 8; ++i) idx.push_back({i, i % 4});
-
-  auto cols = MaterializeJoin(items, {"qty", "shipmode"}, orders, {"clerk"},
-                              idx);
-  ASSERT_TRUE(cols.ok());
-  ASSERT_EQ(cols->size(), 3u);
-  EXPECT_EQ((*cols)[0].name, "qty");
-  EXPECT_EQ((*cols)[0].type, PhysType::kU32);
-  ASSERT_EQ((*cols)[0].u32_values.size(), 8u);
-  EXPECT_EQ((*cols)[0].u32_values[3], 1 + 3 % 5);
-  EXPECT_EQ((*cols)[1].type, PhysType::kStr);
-  EXPECT_EQ((*cols)[1].str_values[1], "AIR");
-  EXPECT_EQ((*cols)[2].name, "clerk");
-  EXPECT_EQ((*cols)[2].str_values[5], "bob");
+  // price (10 + i) is unique per item, so ordering by it pins row i to
+  // item i and lets every column be checked positionally.
+  auto plan = QueryBuilder(items)
+                  .Join(orders, "order", "order_id")
+                  .OrderBy("price")
+                  .Project({"qty", "shipmode", "clerk"})
+                  .Build();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto res = Execute(*plan);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  ASSERT_EQ(res->num_columns(), 3u);
+  ASSERT_EQ(res->num_rows(), 12u);
+  const auto& cols = res->columns;
+  EXPECT_EQ(cols[0].name, "qty");
+  EXPECT_EQ(cols[0].type, PhysType::kU32);
+  EXPECT_EQ(cols[0].u32_values[3], 1u + 3 % 5);
+  EXPECT_EQ(cols[1].type, PhysType::kStr);
+  EXPECT_EQ(cols[1].str_values[1], "AIR");
+  EXPECT_EQ(cols[2].name, "clerk");
+  EXPECT_EQ(cols[2].str_values[5], "bob");  // item 5 -> order 1
+  EXPECT_EQ(cols[2].str_values[11], "dee");  // item 11 -> order 3
   // Unknown column propagates NotFound.
-  EXPECT_EQ(MaterializeJoin(items, {"nope"}, orders, {}, idx).status().code(),
+  EXPECT_EQ(QueryBuilder(items)
+                .Join(orders, "order", "order_id")
+                .Project({"nope"})
+                .Build()
+                .status()
+                .code(),
             StatusCode::kNotFound);
 }
 
-TEST(JoinTablesTest, JoinsOnU32Columns) {
+TEST(JoinProjectTest, JoinsOnU32Columns) {
   // orders(order_id) join items(order): classic FK join via the planner.
   auto orders_rows = RowStore::Make(
       {{"order_id", FieldType::kU32}, {"prio", FieldType::kU32}}, 10);
@@ -221,12 +222,23 @@ TEST(JoinTablesTest, JoinsOnU32Columns) {
   Table orders = *Table::FromRowStore(*orders_rows);
   Table items = *Table::FromRowStore(MakeItems(30));  // order = i/3: 0..9
 
-  auto idx = JoinTables(items, "order", orders, "order_id");
-  ASSERT_TRUE(idx.ok());
-  EXPECT_EQ(idx->size(), 30u);  // every item matches exactly one order
-  for (const Bun& b : *idx) {
-    EXPECT_EQ(b.head / 3, b.tail);  // item oid/3 == order oid
+  auto plan = QueryBuilder(items)
+                  .Join(orders, "order", "order_id")
+                  .Project({"order", "order_id", "prio"})
+                  .Build();
+  ASSERT_TRUE(plan.ok());
+  auto res = Execute(*plan);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  ASSERT_EQ(res->num_rows(), 30u);  // every item matches exactly one order
+  std::map<uint32_t, int> per_order;
+  for (size_t i = 0; i < res->num_rows(); ++i) {
+    uint32_t order = res->columns[0].u32_values[i];
+    EXPECT_EQ(order, res->columns[1].u32_values[i]);
+    EXPECT_EQ(res->columns[2].u32_values[i], order % 3);
+    ++per_order[order];
   }
+  ASSERT_EQ(per_order.size(), 10u);
+  for (const auto& [order, n] : per_order) EXPECT_EQ(n, 3) << order;
 }
 
 }  // namespace

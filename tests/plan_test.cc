@@ -9,7 +9,6 @@
 #include <tuple>
 
 #include "algo/bat_algebra.h"
-#include "exec/ops.h"
 #include "exec/plan.h"
 #include "model/planner.h"
 #include "util/rng.h"
@@ -629,19 +628,60 @@ TEST(ParallelExecTest, InnerIsClusteredOncePerJoin) {
   EXPECT_NE(explain.find("inner clustered 1x"), std::string::npos);
 }
 
-// --- legacy wrappers ---------------------------------------------------------
-
-TEST(WrapperTest, JoinTablesMatchesPlanJoin) {
-  Table items = *Table::FromRowStore(MakeItems(300));
-  Table orders = MakeOrders(101);
-  JoinStats stats;
-  auto idx = JoinTables(items, "order", orders, "order_id",
-                        JoinStrategy::kBest, MachineProfile::GenericX86(),
-                        &stats);
-  ASSERT_TRUE(idx.ok());
-  EXPECT_EQ(idx->size(), 300u);
-  EXPECT_EQ(stats.result_count, 300u);
-  for (const Bun& b : *idx) EXPECT_EQ(b.head / 3, b.tail);
+TEST(ParallelExecTest, AllRowsOneKeyJoinAggregateMatchesSerial) {
+  // Total skew: every fact row carries the same join key, so the whole
+  // probe side lands in one radix cluster and one hash bucket, and one
+  // group of the join output takes all the matches.
+  auto fact_rs = RowStore::Make({{"fk", FieldType::kU32},
+                                 {"val", FieldType::kU32},
+                                 {"mode", FieldType::kChar10}},
+                                900);
+  ASSERT_TRUE(fact_rs.ok());
+  const char* modes[] = {"MAIL", "AIR", "TRUCK", "SHIP"};
+  for (size_t i = 0; i < 900; ++i) {
+    size_t r = *fact_rs->AppendRow();
+    fact_rs->SetU32(r, 0, 2);
+    fact_rs->SetU32(r, 1, static_cast<uint32_t>(i % 97));
+    fact_rs->SetBytes(r, 2, modes[i % 4], strlen(modes[i % 4]));
+  }
+  Table fact = *Table::FromRowStore(*fact_rs);
+  Table dim = MakeOrders(4);  // order_id 0..3: exactly one row matches
+  auto run = [&](JoinStrategy strategy, size_t par) {
+    auto plan = QueryBuilder(fact)
+                    .Join(dim, "fk", "order_id", strategy)
+                    .GroupByAgg({"mode"}, {AggSpec::Sum("val"),
+                                           AggSpec::Count(),
+                                           AggSpec::Max("prio")})
+                    .OrderBy("mode")
+                    .Build();
+    CCDB_CHECK(plan.ok());
+    PlannerOptions opts;
+    opts.exec.scan_chunk_rows = 128;  // several probe chunks
+    opts.exec.parallelism = par;
+    auto r = Execute(*plan, opts);
+    CCDB_CHECK(r.ok());
+    return *std::move(r);
+  };
+  QueryResult serial = run(JoinStrategy::kBest, 1);
+  ASSERT_EQ(serial.num_rows(), 4u);
+  EXPECT_EQ(serial.columns[0].str_values,
+            (std::vector<std::string>{"AIR", "MAIL", "SHIP", "TRUCK"}));
+  EXPECT_EQ(serial.columns[2].i64_values,
+            (std::vector<int64_t>{225, 225, 225, 225}));
+  for (JoinStrategy strategy : {JoinStrategy::kBest, JoinStrategy::kPhashMin,
+                                JoinStrategy::kSortMerge}) {
+    for (size_t par : {1u, 2u, 8u}) {
+      QueryResult got = run(strategy, par);
+      SCOPED_TRACE(std::string(JoinStrategyName(strategy)) + " parallelism " +
+                   std::to_string(par));
+      ASSERT_EQ(got.num_columns(), serial.num_columns());
+      for (size_t c = 0; c < serial.num_columns(); ++c) {
+        EXPECT_EQ(got.columns[c].u32_values, serial.columns[c].u32_values);
+        EXPECT_EQ(got.columns[c].i64_values, serial.columns[c].i64_values);
+        EXPECT_EQ(got.columns[c].str_values, serial.columns[c].str_values);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -10,9 +10,10 @@
 #include "algo/radix_aggregate.h"
 #include "algo/simple_hash_join.h"
 #include "bat/dsm.h"
-#include "exec/ops.h"
+#include "exec/plan.h"
 #include "exec/table.h"
 #include "mem/access.h"
+#include "model/planner.h"
 #include "util/rng.h"
 #include "util/zipf.h"
 
@@ -156,20 +157,18 @@ TEST(PipelineOracleTest, SelectJoinAggregateEndToEnd) {
   Table items = *Table::FromRowStore(*items_rs);
 
   // Query: total qty of items whose order has prio == 3.
-  auto hot = orders.SelectRangeU32("prio", 3, 3);
-  ASSERT_TRUE(hot.ok());
-  auto idx = JoinTables(items, "order", orders, "order_id",
-                        JoinStrategy::kPhashL1);
-  ASSERT_TRUE(idx.ok());
-  std::vector<bool> is_hot(kOrders, false);
-  for (oid_t o : *hot) is_hot[o] = true;
+  QueryBuilder hot(orders);
+  hot.Filter(Col("prio") == 3u);
+  auto plan = QueryBuilder(items)
+                  .Join(std::move(hot), "order", "order_id",
+                        JoinStrategy::kPhashL1)
+                  .Project({"qty"})
+                  .Build();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto res = Execute(*plan);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
   uint64_t got = 0;
-  auto qty_col = *items.GatherU32(
-      "qty", std::vector<oid_t>{});  // warm the API; unused
-  (void)qty_col;
-  for (const Bun& b : *idx) {
-    if (is_hot[b.tail]) got += item_qty[b.head];
-  }
+  for (uint32_t q : res->columns[0].u32_values) got += q;
   uint64_t expect = 0;
   for (size_t i = 0; i < kItems; ++i) {
     if (prio[item_order[i]] == 3) expect += item_qty[i];

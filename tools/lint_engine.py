@@ -307,8 +307,8 @@ def self_test(repo_root):
         ("bad_dropped_status.cc", "nodiscard-status"),
         ("bad_undated_todo.cc", "undated-todo"),
         ("bad_table_identity.cc", "table-identity"),
-        # dist/-shaped transport code: the raw-buffer and mutex rules must
-        # demonstrably cover src/dist/ idiom (channels, frame buffers).
+        # channel-shaped transport code: the raw-buffer and mutex rules
+        # must demonstrably cover that idiom (queues, frame buffers).
         ("bad_dist_channel.cc", "raw-buffer"),
         ("bad_dist_channel.cc", "std-mutex"),
         ("bad_dist_channel.cc", "unguarded-mutex"),

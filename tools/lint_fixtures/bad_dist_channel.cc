@@ -1,9 +1,9 @@
-// Seeded violations shaped like src/dist/ transport code: a chunk channel
+// Seeded violations shaped like chunk-transport code: a chunk channel
 // that (a) hand-allocates its frame buffer instead of going through the
 // owning buffer layers, (b) reaches for std:: synchronization the
 // thread-safety analysis cannot see, and (c) declares a ccdb::Mutex that
 // guards nothing visible. The self-test requires all three to be flagged,
-// proving the raw-buffer and mutex rules cover dist/-style code.
+// proving the raw-buffer and mutex rules cover channel-style code.
 #include <condition_variable>
 #include <mutex>
 
