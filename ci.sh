@@ -99,7 +99,8 @@ if [ "$MODE" = "tsan" ]; then
   # reordered join chains at parallelism {1,2,8} and the shared lazy stats
   # cache; thread_pool_test hammers the pool itself; serve_test and
   # concurrent_exec_test drive the serving front end, the stats-vs-append
-  # race, and two concurrent plans on one pool. TSan is the real reviewer
+  # race, and two concurrent plans on one pool; shared_scan_test runs
+  # concurrent plans through one filter cache. TSan is the real reviewer
   # for all of them.
   # Anchored alternation: unanchored, 'exec_test' would also pull in
   # concurrent_exec_test (running it twice) and any future *_exec_test into
@@ -109,8 +110,9 @@ if [ "$MODE" = "tsan" ]; then
   echo "== concurrent serving smoke under TSan =="
   "$BUILD_DIR/concurrent_serving" --smoke
   echo "== shared scan smoke under TSan =="
-  # K client threads on one cooperative table cursor: the TSan pass over
-  # the shared-scan registry (drive/fan-out/detach under concurrency).
+  # K client threads filtering one table through the server's filter
+  # cache: the TSan pass over the cache's shared lists, which concurrent
+  # Selects read and fill.
   "$BUILD_DIR/shared_scan" --smoke
   echo "== tlb_pages smoke under TSan =="
   # Arena allocate/advise/free cycles (mmap registry under the arena mutex)
@@ -145,9 +147,9 @@ echo "== bench artifact (BENCH_ci.json) =="
 # A/B) merged into the same artifact; the run itself asserts that fair
 # dispatch beats FIFO on point-query tail latency.
 "$BUILD_DIR/concurrent_serving" --json-merge="$BUILD_DIR/BENCH_ci.json"
-# Shared-scan A/B (K same-table clients, cooperative cursor vs independent
-# scans) merged too; the run asserts sharing is >= 1.3x better on qps or
-# p99 — a work-elimination win, so it holds even at hardware_concurrency=1.
+# Shared-scan A/B (K same-table clients, filter cache on vs off) merged
+# too; the run asserts the cache is >= 1.3x better on qps or p99 — a
+# work-elimination win.
 "$BUILD_DIR/shared_scan" --json-merge="$BUILD_DIR/BENCH_ci.json"
 # Huge-page vs base-page A/B (scan / gather / radix-cluster / join build on
 # arena mappings) merged too. The section records page_size, thp_available

@@ -91,7 +91,7 @@ int main() {
 
   auto plan = QueryBuilder(item)
                   .Select(Predicate::RangeU32("price", 2000, 3000))
-                  .GroupBySum("supp", "qty")
+                  .GroupByAgg({"supp"}, {Agg::Sum("qty"), Agg::Count()})
                   .Build();
   CCDB_CHECK(plan.ok());
   std::printf("logical plan:\n%s", plan->ToString().c_str());

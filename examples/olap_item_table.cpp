@@ -125,7 +125,7 @@ int main() {
   // candidate list into the grouped aggregation — no intermediate BAT.
   auto plan = QueryBuilder(table)
                   .Select(Predicate::EqStr("shipmode", "MAIL"))
-                  .GroupBySum("supp", "qty")
+                  .GroupByAgg({"supp"}, {Agg::Sum("qty"), Agg::Count()})
                   .Build();
   CCDB_CHECK(plan.ok());
   auto agg = Execute(*plan);
@@ -152,7 +152,7 @@ int main() {
   std::printf("\ntop suppliers by SUM(qty):\n");
   auto top_plan = QueryBuilder(table)
                       .Select(Predicate::EqStr("shipmode", "MAIL"))
-                      .GroupBySum("supp", "qty")
+                      .GroupByAgg({"supp"}, {Agg::Sum("qty"), Agg::Count()})
                       .OrderBy("sum", /*descending=*/true)
                       .Limit(5)
                       .Build();
@@ -222,7 +222,7 @@ int main() {
   auto q4 = QueryBuilder(table)
                 .Filter(InStr(Col("shipmode"), {"MAIL", "RAIL"}) ||
                         (Col("qty") >= 45u && !(Col("status") == "F")))
-                .GroupBySum("supp", "qty")
+                .GroupByAgg({"supp"}, {Agg::Sum("qty"), Agg::Count()})
                 .Having(Col("sum") >= 1000u)
                 .OrderBy("sum", /*descending=*/true)
                 .Limit(5)

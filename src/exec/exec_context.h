@@ -18,7 +18,7 @@
 namespace ccdb {
 
 class ThreadPool;
-class SharedScanProvider;  // exec/shared_scan.h
+class FilterCache;  // exec/filter_cache.h
 
 /// Per-query scheduling state the serving layer threads through the
 /// executor. Lives in exec/ (not serve/) because operators consult it at
@@ -98,13 +98,13 @@ struct ExecOptions {
   /// plan execution. Null runs unscheduled.
   ScheduleContext* sched = nullptr;
 
-  /// Optional shared-scan provider (exec/shared_scan.h). When bound, the
-  /// planner lowers table scans to SharedScanOps that attach to the
-  /// provider's cooperative per-table cursors, letting concurrent plans
-  /// share one pass over a hot table. Null (default) lowers independent
-  /// ScanOps — byte-identical to the provider-free engine. Owned by the
-  /// caller (typically serve::Server), must outlive plan execution.
-  SharedScanProvider* shared_scans = nullptr;
+  /// Optional filter-result cache (exec/filter_cache.h). When bound, every
+  /// Select directly over a base-table scan takes its survivor lists from
+  /// the cache, so a repeated or narrower filter over unchanged data does
+  /// not re-read the column. Null (default) evaluates every filter —
+  /// byte-identical results either way. Owned by the caller (typically
+  /// serve::Server), must outlive plan execution.
+  FilterCache* shared_scans = nullptr;
 };
 
 /// Resolved ExecOptions (owned by PhysicalPlan, borrowed by operators).
@@ -112,7 +112,7 @@ struct ExecContext {
   ThreadPool* pool = nullptr;
   size_t parallelism = 1;
   ScheduleContext* sched = nullptr;
-  SharedScanProvider* shared_scans = nullptr;
+  FilterCache* shared_scans = nullptr;
 
   bool parallel() const { return parallelism > 1 && pool != nullptr; }
 

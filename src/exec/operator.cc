@@ -10,7 +10,7 @@
 #include "algo/radix_sort.h"
 #include "algo/simple_hash_join.h"
 #include "algo/sort_merge_join.h"
-#include "exec/shared_scan.h"
+#include "exec/filter_cache.h"
 #include "util/thread_pool.h"
 
 namespace ccdb {
@@ -446,8 +446,12 @@ StatusOr<bool> ScanOp::Next(Chunk* out) {
 // --- SelectOp ----------------------------------------------------------------
 
 SelectOp::SelectOp(std::unique_ptr<Operator> child, Expr expr,
-                   const ExecContext* ctx)
-    : child_(std::move(child)), ctx_(ctx) {
+                   const ExecContext* ctx, const Table* scanned,
+                   size_t scan_chunk_rows)
+    : child_(std::move(child)),
+      ctx_(ctx),
+      scanned_(scanned),
+      scan_chunk_rows_(scan_chunk_rows) {
   // An empty conjunction (a childless And, e.g. a default-constructed
   // Expr) is logically true: leave expr_ empty so Next() passes chunks
   // through, exactly like the empty legacy Predicate conjunction (plan
@@ -474,7 +478,10 @@ SelectOp::SelectOp(std::unique_ptr<Operator> child, Predicate pred,
     : SelectOp(std::move(child),
                std::vector<Predicate>{std::move(pred)}, ctx) {}
 
-Status SelectOp::Open() { return child_->Open(); }
+Status SelectOp::Open() {
+  chunk_index_ = 0;
+  return child_->Open();
+}
 void SelectOp::Close() { child_->Close(); }
 
 namespace {
@@ -1069,9 +1076,9 @@ StatusOr<std::vector<uint32_t>> EvalExprNarrow(const Chunk& in, const Expr& e,
 
 }  // namespace
 
-// Public faces of the evaluation walks above (declared in
-// exec/shared_scan.h): shared-scan providers filter fanned-out chunks with
-// the exact kernels SelectOp runs, so sharing cannot change results.
+// Public faces of the evaluation walks above: the FilterCache fills and
+// narrows its lists with the exact kernels SelectOp runs, so caching cannot
+// change results.
 StatusOr<std::vector<uint32_t>> EvalFilterPositions(const Chunk& chunk,
                                                     const Expr& normalized,
                                                     const ExecContext* ctx) {
@@ -1090,6 +1097,15 @@ StatusOr<bool> SelectOp::Next(Chunk* out) {
   if (!more) return false;
   if (!expr_.has_value()) {
     *out = std::move(in);
+    return true;
+  }
+  size_t index = chunk_index_++;
+  if (scanned_ != nullptr && ctx_ != nullptr && ctx_->shared_scans != nullptr) {
+    CCDB_ASSIGN_OR_RETURN(
+        FilterCache::Positions positions,
+        ctx_->shared_scans->Filter(*scanned_, scan_chunk_rows_, index, in,
+                                   *expr_, ctx_));
+    CCDB_ASSIGN_OR_RETURN(*out, in.Take(*positions));
     return true;
   }
   CCDB_ASSIGN_OR_RETURN(std::vector<uint32_t> positions,

@@ -193,8 +193,12 @@ class ScanOp : public Operator {
 /// whose owned aggregate columns take the in-place span path.
 class SelectOp : public Operator {
  public:
+  /// `scanned`: the base table when `child` is that table's ScanOp with
+  /// `scan_chunk_rows`. With ctx->shared_scans bound, such a Select takes
+  /// each chunk's survivors from the FilterCache (exec/filter_cache.h).
   SelectOp(std::unique_ptr<Operator> child, Expr expr,
-           const ExecContext* ctx = nullptr);
+           const ExecContext* ctx = nullptr, const Table* scanned = nullptr,
+           size_t scan_chunk_rows = 0);
   /// Legacy wrappers: a conjunction of Predicates filters exactly like the
   /// equivalent And expression. An empty conjunction passes chunks through.
   SelectOp(std::unique_ptr<Operator> child, std::vector<Predicate> preds,
@@ -215,7 +219,27 @@ class SelectOp : public Operator {
   std::unique_ptr<Operator> child_;
   std::optional<Expr> expr_;  // nullopt: pass-through (empty conjunction)
   const ExecContext* ctx_;
+  const Table* scanned_ = nullptr;
+  size_t scan_chunk_rows_ = 0;
+  size_t chunk_index_ = 0;  // chunks pulled since Open()
 };
+
+/// Evaluates a normalized filter over a whole chunk, returning ascending,
+/// duplicate-free chunk positions — exactly SelectOp's evaluation (same
+/// kernels, same morsel-parallel splitting under `ctx`, same NaN and
+/// encoded-string semantics).
+StatusOr<std::vector<uint32_t>> EvalFilterPositions(const Chunk& chunk,
+                                                    const Expr& normalized,
+                                                    const ExecContext* ctx);
+
+/// Narrows an ascending position list by a normalized filter: returns the
+/// positions that also satisfy it, preserving order. When ExprSubsumes(a,
+/// b) holds, NarrowFilterPositions(chunk, a, EvalFilterPositions(chunk, b))
+/// equals EvalFilterPositions(chunk, a) — the identity the FilterCache's
+/// narrowing is built on.
+StatusOr<std::vector<uint32_t>> NarrowFilterPositions(
+    const Chunk& chunk, const Expr& normalized,
+    std::vector<uint32_t> positions, const ExecContext* ctx);
 
 /// Equi-join. Open() drains the inner (right) child, asks the cost model
 /// for a JoinPlan at the *actual* inner cardinality (recorded into `info`),

@@ -572,12 +572,6 @@ QueryBuilder& QueryBuilder::GroupByAgg(std::vector<std::string> group_cols,
   return *this;
 }
 
-QueryBuilder& QueryBuilder::GroupBySum(std::string group_col,
-                                       std::string value_col) {
-  return GroupByAgg({std::move(group_col)},
-                    {Agg::Sum(std::move(value_col)), Agg::Count()});
-}
-
 QueryBuilder& QueryBuilder::OrderBy(std::string column, bool descending) {
   if (root_ == nullptr) return *this;
   root_ = Wrap(std::move(root_), LogicalOp::kOrderBy);

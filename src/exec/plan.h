@@ -182,7 +182,7 @@ class LogicalPlan {
   /// The tables this plan scans, in tree order with duplicates kept (a
   /// self-join lists its table twice). Callers that need set semantics
   /// dedup themselves; callers that need per-scan facts (cardinality
-  /// bands, shared-scan registration) want every occurrence.
+  /// bands) want every occurrence.
   std::vector<const Table*> Tables() const;
 
   /// Indented tree rendering, one operator per line (EXPLAIN-style).
@@ -253,13 +253,8 @@ class QueryBuilder {
   QueryBuilder& GroupByAgg(std::vector<std::string> group_cols,
                            std::vector<AggSpec> aggs);
 
-  /// Group by `group_col` (integral or encoded string), summing u32
-  /// `value_col`. Output columns: `group_col` (decoded), "sum", "count".
-  /// Wrapper over GroupByAgg({group_col}, {Agg::Sum, Agg::Count}).
-  QueryBuilder& GroupBySum(std::string group_col, std::string value_col);
-
   /// Filters aggregate output (the HAVING shorthand): must directly follow
-  /// GroupByAgg/GroupBySum (or another Having). The expression is evaluated
+  /// GroupByAgg (or another Having). The expression is evaluated
   /// over the aggregate's owned output columns in place — typed against the
   /// aggregate schema (u32 literals compare against i64 sums/counts) and
   /// compacted with a single positional take, never re-gathering the owned

@@ -73,12 +73,15 @@ class Table {
   }
 
   /// A token that expires when this table is destroyed (it aliases the
-  /// address-stable stats cache). Holders of raw `const Table*` — the plan
-  /// cache, the shared-scan registry — use it to *assert* the documented
-  /// lifetime contract (tables outlive the Server) in debug builds instead
-  /// of silently dereferencing a dangling pointer. Best-effort: moving a
-  /// table transfers the cache, so a moved-from table's token expires only
-  /// when the destination dies.
+  /// address-stable stats cache) and is replaced by copy-assignment. The
+  /// plan cache holds raw `const Table*` and uses it to *assert* the
+  /// documented lifetime contract (tables outlive the Server) in debug
+  /// builds instead of silently dereferencing a dangling pointer. The
+  /// filter cache (exec/filter_cache.h) keys tables on it, so a table
+  /// copy-assigned over in place is never served the survivor lists of
+  /// what was there before. Best-effort: moving a table transfers the
+  /// cache, so a moved-from table's token expires only when the
+  /// destination dies.
   std::weak_ptr<const void> liveness() const { return stats_; }
 
   // --- operators (positional OIDs, void-head convention) -------------------

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "exec/shared_scan.h"
 #include "mem/hw_counters.h"
 #include "model/calibrator.h"
 #include "model/cost_model.h"
@@ -472,10 +471,8 @@ StatusOr<Lowered> LowerNode(const LogicalNode& n, int depth, int parent,
       }
       Lowered out;
       out.est_rows = n.table->num_rows();
-      bool shared = c.ctx->shared_scans != nullptr;
-      OpCostInfo* cost = c.NewCost((shared ? "SharedScan(" : "Scan(") +
-                                       std::to_string(out.est_rows) + " rows)",
-                                   depth, parent);
+      OpCostInfo* cost = c.NewCost(
+          "Scan(" + std::to_string(out.est_rows) + " rows)", depth, parent);
       cost->estimated_rows = out.est_rows;
       // Scans emit lazy column descriptors — near-free; the §2 iteration
       // cost lands on whichever operator touches the values. Charge only
@@ -487,15 +484,8 @@ StatusOr<Lowered> LowerNode(const LogicalNode& n, int depth, int parent,
               : out.est_rows / std::max<size_t>(c.chunk_rows, 1) + 1;
       p.cpu_ns = static_cast<double>(chunks) * 200.0;
       FillPrediction(cost, p, profile.lat);
-      std::unique_ptr<Operator> scan;
-      if (shared) {
-        scan = std::make_unique<SharedScanOp>(n.table, std::nullopt,
-                                              c.chunk_rows,
-                                              c.ctx->shared_scans, c.ctx);
-      } else {
-        scan = std::make_unique<ScanOp>(n.table, c.chunk_rows);
-      }
-      out.op = std::make_unique<TimedOperator>(std::move(scan), cost);
+      out.op = std::make_unique<TimedOperator>(
+          std::make_unique<ScanOp>(n.table, c.chunk_rows), cost);
       out.root_cost = c.CostIndex(cost);
       for (size_t i = 0; i < n.table->num_columns(); ++i) {
         out.layout.push_back(n.table->schema().field(i).name);
@@ -509,49 +499,23 @@ StatusOr<Lowered> LowerNode(const LogicalNode& n, int depth, int parent,
           std::string(name) + "(" + Truncate(n.filter.ToString(), 48) + ")",
           depth, parent);
       int self = c.CostIndex(cost);
-      // A Select directly over a Scan fuses into one SharedScanOp when a
-      // provider is bound: the filter must travel to the registry so
-      // co-attached plans can share candidate lists between subsuming
-      // filters. The scan's cost record is still allocated (records are
-      // preallocated one per logical node); its actuals fold into the
-      // fused operator's, timed under this Select record.
-      bool fuse_shared = n.op == LogicalOp::kSelect &&
-                         c.ctx->shared_scans != nullptr &&
-                         n.children[0]->op == LogicalOp::kScan &&
-                         n.children[0]->table != nullptr;
       ColumnSourceMap src = CollectColumnSources(*n.children[0]);
       double sel = EstimateExprSelectivity(n.filter, src);
-      Lowered child;
-      std::optional<Expr> lowered_expr;
-      std::unique_ptr<Operator> op;
-      if (fuse_shared) {
-        const Table* table = n.children[0]->table;
-        child.est_rows = table->num_rows();
-        OpCostInfo* scan_cost = c.NewCost(
-            "SharedScan(" + std::to_string(child.est_rows) + " rows, fused)",
-            depth + 1, self);
-        scan_cost->estimated_rows = child.est_rows;
-        FillPrediction(scan_cost, ModelPrediction{}, profile.lat);
-        child.root_cost = c.CostIndex(scan_cost);
-        for (size_t i = 0; i < table->num_columns(); ++i) {
-          child.layout.push_back(table->schema().field(i).name);
-        }
-        auto fused = std::make_unique<SharedScanOp>(
-            table, n.filter, c.chunk_rows, c.ctx->shared_scans, c.ctx);
-        lowered_expr = fused->expr();
-        op = std::move(fused);
-      } else {
-        CCDB_ASSIGN_OR_RETURN(child,
-                              LowerNode(*n.children[0], depth + 1, self, c));
-        // SelectOp's constructor normalizes to NNF (Not pushed into the
-        // leaves) and orders conjuncts by the selectivity heuristic; read
-        // the result back so ExplainFilters() reports exactly what
-        // executes.
-        auto select = std::make_unique<SelectOp>(std::move(child.op),
-                                                 n.filter, c.ctx);
-        lowered_expr = select->expr();
-        op = std::move(select);
-      }
+      CCDB_ASSIGN_OR_RETURN(Lowered child,
+                            LowerNode(*n.children[0], depth + 1, self, c));
+      // A Select directly over a base-table scan may take its survivors
+      // from the filter cache (ExecContext::shared_scans); Having filters
+      // owned aggregate output, which the cache does not describe.
+      const Table* scanned = n.op == LogicalOp::kSelect &&
+                                     n.children[0]->op == LogicalOp::kScan
+                                 ? n.children[0]->table
+                                 : nullptr;
+      // SelectOp's constructor normalizes to NNF (Not pushed into the
+      // leaves) and orders conjuncts by the selectivity heuristic; read
+      // the result back so ExplainFilters() reports exactly what executes.
+      auto select = std::make_unique<SelectOp>(
+          std::move(child.op), n.filter, c.ctx, scanned, c.chunk_rows);
+      std::optional<Expr> lowered_expr = select->expr();
       cost->estimated_rows = static_cast<uint64_t>(
           static_cast<double>(child.est_rows) * sel + 0.5);
       FilterNodeInfo info;
@@ -579,7 +543,7 @@ StatusOr<Lowered> LowerNode(const LogicalNode& n, int depth, int parent,
       }
       c.filters->push_back(std::move(info));
       Lowered out;
-      out.op = std::make_unique<TimedOperator>(std::move(op), cost);
+      out.op = std::make_unique<TimedOperator>(std::move(select), cost);
       out.root_cost = self;
       out.layout = std::move(child.layout);
       out.est_rows = cost->estimated_rows;

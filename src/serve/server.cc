@@ -8,11 +8,11 @@ namespace ccdb {
 
 namespace {
 
-// Binds the server's registry (possibly null) into the planner options so
-// every Lower() — direct or via the plan cache's initial miss — emits
-// shared-scan operators attached to it.
-ServerOptions WireSharedScans(ServerOptions o, SharedScanRegistry* scans) {
-  o.planner.exec.shared_scans = scans;
+// Binds the server's filter cache (possibly null) into the planner options
+// so every Lower() — direct or via the plan cache's initial miss — emits
+// Selects that consult it.
+ServerOptions WireFilterCache(ServerOptions o, FilterCache* filters) {
+  o.planner.exec.shared_scans = filters;
   return o;
 }
 
@@ -36,9 +36,9 @@ bool QueryTicket::done() const {
 }
 
 Server::Server(ServerOptions options)
-    : scans_(options.shared_scan ? std::make_unique<SharedScanRegistry>()
-                                 : nullptr),
-      options_(WireSharedScans(std::move(options), scans_.get())) {
+    : filters_(options.shared_scan ? std::make_unique<FilterCache>()
+                                   : nullptr),
+      options_(WireFilterCache(std::move(options), filters_.get())) {
   size_t n = options_.max_inflight == 0 ? 1 : options_.max_inflight;
   executors_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -257,7 +257,9 @@ Server::Stats Server::stats() const {
   MutexLock lock(&mu_);
   Stats s = stats_;
   s.cache = cache_.stats();
-  if (scans_ != nullptr) s.shared_scans = scans_->stats();
+  if (filters_ != nullptr) {
+    static_cast<FilterCache::Stats&>(s.shared_scans) = filters_->stats();
+  }
   return s;
 }
 

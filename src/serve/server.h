@@ -36,11 +36,11 @@
 #include <vector>
 
 #include "exec/exec_context.h"
+#include "exec/filter_cache.h"
 #include "exec/plan.h"
 #include "exec/result.h"
 #include "model/planner.h"
 #include "serve/plan_cache.h"
-#include "serve/shared_scan.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
 
@@ -71,11 +71,10 @@ struct ServerOptions {
 
   bool use_plan_cache = true;
 
-  /// true: the server owns a SharedScanRegistry and every query's scans
-  /// lower to cooperative shared-scan operators (exec/shared_scan.h), so
-  /// concurrent plans over one table share a single cursor pass and, where
-  /// filters subsume each other, candidate lists. false: plans execute on
-  /// fully independent ScanOps, byte-identical to the provider-free engine.
+  /// true: the server owns a FilterCache (exec/filter_cache.h) and every
+  /// Select directly over a base-table scan reuses or narrows the survivor
+  /// lists of earlier equivalent or weaker filters over unchanged data.
+  /// false: every filter is evaluated — byte-identical results.
   bool shared_scan = true;
 };
 
@@ -153,12 +152,21 @@ class Server {
     std::chrono::milliseconds timeout{0};
   };
 
+  /// The filter cache's counters, under the names the shared-scan stats
+  /// have always had.
+  struct SharedScanStats : FilterCache::Stats {
+    // Counted by the cooperative scan cursor, which was removed; always 0.
+    uint64_t chunks_driven = 0;
+    uint64_t chunks_fanned_out = 0;
+    uint64_t overflows = 0;
+  };
+
   struct Stats {
     uint64_t submitted = 0;
     uint64_t rejected = 0;   // admission control refusals
     uint64_t completed = 0;  // any terminal status, including errors
     PlanCache::Stats cache;
-    SharedScanRegistry::Stats shared_scans;  // zeros when shared_scan=false
+    SharedScanStats shared_scans;  // zeros when shared_scan=false
   };
 
   explicit Server(ServerOptions options);
@@ -198,10 +206,10 @@ class Server {
               bool cache_hit, double exec_ms);
 
   /// Declared before options_: the constructor's init list builds the
-  /// registry first, then stores its address into the planner options every
+  /// cache first, then stores its address into the planner options every
   /// query is lowered with. Declared-before also means destroyed-after, so
-  /// cached plans holding SharedScanOps never outlive their provider.
-  std::unique_ptr<SharedScanRegistry> scans_;
+  /// cached plans never outlive the filter cache they point at.
+  std::unique_ptr<FilterCache> filters_;
   const ServerOptions options_;
   PlanCache cache_;
 

@@ -101,13 +101,19 @@ TEST(QueryBuilderTest, EmptyProjectAndBadAggregates) {
   auto p1 = QueryBuilder(t).Project({}).Build();
   EXPECT_EQ(p1.status().code(), StatusCode::kInvalidArgument);
   // Grouping on an f64 column.
-  auto p2 = QueryBuilder(t).GroupBySum("price", "qty").Build();
+  auto p2 = QueryBuilder(t)
+                .GroupByAgg({"price"}, {Agg::Sum("qty"), Agg::Count()})
+                .Build();
   EXPECT_EQ(p2.status().code(), StatusCode::kInvalidArgument);
   // Summing an f64 column.
-  auto p3 = QueryBuilder(t).GroupBySum("qty", "price").Build();
+  auto p3 = QueryBuilder(t)
+                .GroupByAgg({"qty"}, {Agg::Sum("price"), Agg::Count()})
+                .Build();
   EXPECT_EQ(p3.status().code(), StatusCode::kInvalidArgument);
   // Grouping on an encoded string column is fine.
-  auto p4 = QueryBuilder(t).GroupBySum("shipmode", "qty").Build();
+  auto p4 = QueryBuilder(t)
+                .GroupByAgg({"shipmode"}, {Agg::Sum("qty"), Agg::Count()})
+                .Build();
   EXPECT_TRUE(p4.ok());
 }
 
@@ -115,7 +121,7 @@ TEST(QueryBuilderTest, OutputSchemaAndToString) {
   Table items = *Table::FromRowStore(MakeItems(12));
   auto plan = QueryBuilder(items)
                   .Select(Predicate::EqStr("shipmode", "MAIL"))
-                  .GroupBySum("shipmode", "qty")
+                  .GroupByAgg({"shipmode"}, {Agg::Sum("qty"), Agg::Count()})
                   .OrderBy("sum", true)
                   .Limit(3)
                   .Build();
@@ -182,7 +188,7 @@ TEST(PlanExecTest, SelectJoinAggregateMatchesOracle) {
   auto plan = QueryBuilder(items)
                   .Select(Predicate::EqStr("shipmode", "MAIL"))
                   .Join(orders, "order", "order_id")
-                  .GroupBySum("prio", "qty")
+                  .GroupByAgg({"prio"}, {Agg::Sum("qty"), Agg::Count()})
                   .Build();
   ASSERT_TRUE(plan.ok());
   auto result = Execute(*plan);
@@ -214,7 +220,7 @@ TEST(PlanExecTest, OrderByLimitOffset) {
   Table items = *Table::FromRowStore(MakeItems(40));
   auto build = [&](bool desc, size_t limit, size_t offset) {
     auto plan = QueryBuilder(items)
-                    .GroupBySum("shipmode", "qty")
+                    .GroupByAgg({"shipmode"}, {Agg::Sum("qty"), Agg::Count()})
                     .OrderBy("sum", desc)
                     .Limit(limit, offset)
                     .Build();
@@ -260,7 +266,7 @@ TEST(PlanExecTest, PipelinedEqualsMaterialized) {
     auto plan = QueryBuilder(items)
                     .Select(Predicate::RangeU32("qty", 2, 4))
                     .Join(orders, "order", "order_id")
-                    .GroupBySum("prio", "qty")
+                    .GroupByAgg({"prio"}, {Agg::Sum("qty"), Agg::Count()})
                     .OrderBy("prio")
                     .Build();
     CCDB_CHECK(plan.ok());
@@ -458,7 +464,9 @@ TEST(PlanExecTest, GroupByManyDistinctKeys) {
     rs->SetU32(r, 1, 1);
   }
   Table t = *Table::FromRowStore(*rs);
-  auto plan = QueryBuilder(t).GroupBySum("g", "v").Build();
+  auto plan = QueryBuilder(t)
+                  .GroupByAgg({"g"}, {Agg::Sum("v"), Agg::Count()})
+                  .Build();
   ASSERT_TRUE(plan.ok());
   auto result = Execute(*plan);
   ASSERT_TRUE(result.ok());
@@ -524,7 +532,7 @@ TEST(ParallelExecTest, GroupByAndOrderByMatchSerialModuloRowOrder) {
     auto plan = QueryBuilder(items)
                     .Select(Predicate::EqStr("shipmode", "MAIL"))
                     .Join(orders, "order", "order_id")
-                    .GroupBySum("prio", "qty")
+                    .GroupByAgg({"prio"}, {Agg::Sum("qty"), Agg::Count()})
                     .Build();
     CCDB_CHECK(plan.ok());
     PlannerOptions opts;
@@ -544,7 +552,7 @@ TEST(ParallelExecTest, GroupByAndOrderByMatchSerialModuloRowOrder) {
   // even at parallelism 8 (parallel merge sort reproduces stable_sort).
   auto ordered = [&](size_t par) {
     auto plan = QueryBuilder(items)
-                    .GroupBySum("order", "qty")
+                    .GroupByAgg({"order"}, {Agg::Sum("qty"), Agg::Count()})
                     .OrderBy("sum", /*descending=*/true)
                     .OrderBy("order")
                     .Build();
@@ -571,7 +579,7 @@ TEST(ParallelExecTest, EmptyAndSingleRowInputs) {
       auto plan = QueryBuilder(items)
                       .Select(Predicate::RangeU32("qty", 0, 100))
                       .Join(orders, "order", "order_id")
-                      .GroupBySum("prio", "qty")
+                      .GroupByAgg({"prio"}, {Agg::Sum("qty"), Agg::Count()})
                       .Build();
       ASSERT_TRUE(plan.ok());
       PlannerOptions opts;

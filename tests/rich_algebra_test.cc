@@ -447,23 +447,6 @@ TEST(GroupByAggExecTest, MultiKeyMinMaxAvgMatchesOracle) {
   }
 }
 
-TEST(GroupByAggExecTest, GroupBySumWrapperUnchanged) {
-  // The GroupBySum convenience is now a GroupByAgg wrapper; its output
-  // schema and values must be exactly the historical [group, sum, count].
-  Table items = *Table::FromRowStore(MakeItems(300));
-  auto plan = QueryBuilder(items).GroupBySum("shipmode", "qty").Build();
-  ASSERT_TRUE(plan.ok());
-  QueryResult r = RunPlan(*plan, 1);
-  ASSERT_EQ(r.num_columns(), 3u);
-  EXPECT_EQ(r.columns[0].name, "shipmode");
-  EXPECT_EQ(r.columns[1].name, "sum");
-  EXPECT_EQ(r.columns[2].name, "count");
-  ASSERT_EQ(r.num_rows(), 4u);
-  int64_t total = 0;
-  for (size_t g = 0; g < 4; ++g) total += r.columns[2].i64_values[g];
-  EXPECT_EQ(total, 300);
-}
-
 // --- conjunctive selects -----------------------------------------------------
 
 TEST(ConjunctiveSelectTest, FusedPassEqualsChainedSelects) {

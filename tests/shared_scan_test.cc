@@ -1,16 +1,18 @@
-// Shared scans: ExprSubsumes soundness against oracle evaluation (the
-// subsumption matrix: Eq⊂Range, In⊂In, Between⊂Range, negated leaves,
-// And/Or refinements, f64 open/closed endpoints and NaN, strings, and
-// non-subsuming pairs), the cooperative cursor protocol (deterministic
-// single-threaded fan-out: chunks driven once, subsumed filters narrowed,
-// equivalent filters copied, mid-pass attach catch-up, detach and
-// cancel mid-scan, overflow-to-private backpressure, geometry-mismatch
-// private attach), and end-to-end byte-identity: K concurrent plans over
-// one table produce exactly the independent-execution results at
+// Shared scans through the filter-result cache: ExprSubsumes soundness
+// against oracle evaluation (the subsumption matrix: Eq⊂Range, In⊂In,
+// Between⊂Range, negated leaves, And/Or refinements, f64 open/closed
+// endpoints and NaN, strings, and non-subsuming pairs), the FilterCache
+// behind SelectOp (equivalent filters reuse a list, stronger ones narrow
+// it, lists survive across queries until the data version or chunking
+// moves, a cancelled query stores only the chunks it finished, tables are
+// keyed on their liveness token, at most 8 filters per table, Selects
+// over non-scan children bypass it), and end-to-end byte-identity: plans
+// with the cache bound produce exactly the cache-free results at
 // parallelism {1, 2, 8}, with and without the serving layer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -20,21 +22,22 @@
 #include <vector>
 
 #include "exec/expr.h"
+#include "exec/filter_cache.h"
 #include "exec/operator.h"
 #include "exec/plan.h"
-#include "exec/shared_scan.h"
 #include "exec/table.h"
 #include "model/planner.h"
 #include "serve/server.h"
-#include "serve/shared_scan.h"
+#include "util/thread_pool.h"
 
 namespace ccdb {
 namespace {
 
-// items(order u32, qty u32, price f64, shipmode char10): qty = 1 + i % 5,
-// price = 10 + i % 97 with every 250th price NaN (exercises the IEEE
-// semantics subsumption must respect), shipmode cycles MAIL/AIR/TRUCK/SHIP.
-Table MakeItems(size_t n) {
+// items(order u32, qty u32, price f64, shipmode char10): qty = 1 + (i +
+// shift) % 5, price = 10 + i % 97 with every 250th price NaN (exercises
+// the IEEE semantics subsumption must respect), shipmode cycles
+// MAIL/AIR/TRUCK/SHIP.
+Table MakeItems(size_t n, size_t shift = 0) {
   auto rs = RowStore::Make(
       {
           {"order", FieldType::kU32},
@@ -48,7 +51,7 @@ Table MakeItems(size_t n) {
   for (size_t i = 0; i < n; ++i) {
     size_t r = *rs->AppendRow();
     rs->SetU32(r, 0, static_cast<uint32_t>(i / 3));
-    rs->SetU32(r, 1, static_cast<uint32_t>(1 + i % 5));
+    rs->SetU32(r, 1, static_cast<uint32_t>(1 + (i + shift) % 5));
     rs->SetF64(r, 2,
                i % 250 == 249 ? std::numeric_limits<double>::quiet_NaN()
                               : 10.0 + static_cast<double>(i % 97));
@@ -60,11 +63,20 @@ Table MakeItems(size_t n) {
 
 Expr N(Expr e) { return NormalizeExpr(std::move(e)); }
 
+/// The whole table as one scan chunk.
+Chunk WholeTable(const Table& t) {
+  ScanOp scan(&t, SIZE_MAX);
+  CCDB_CHECK(scan.Open().ok());
+  Chunk chunk;
+  auto more = scan.Next(&chunk);
+  CCDB_CHECK(more.ok() && *more);
+  return chunk;
+}
+
 /// Ground truth: the filter evaluated over the whole table with the same
 /// kernels SelectOp uses.
 std::vector<uint32_t> Oracle(const Table& t, const Expr& normalized) {
-  Chunk chunk = MakeTableScanChunk(t, 0, t.num_rows());
-  auto r = EvalFilterPositions(chunk, normalized, nullptr);
+  auto r = EvalFilterPositions(WholeTable(t), normalized, nullptr);
   CCDB_CHECK(r.ok());
   return *std::move(r);
 }
@@ -199,7 +211,7 @@ TEST(ExprSubsumesTest, PairwiseSoundnessSweep) {
 // filter's survivors.
 TEST(ExprSubsumesTest, NarrowingEqualsDirectEvaluation) {
   Table t = MakeItems(5000);
-  Chunk chunk = MakeTableScanChunk(t, 0, t.num_rows());
+  Chunk chunk = WholeTable(t);
   struct Pair {
     Expr strong, weak;
   };
@@ -222,246 +234,75 @@ TEST(ExprSubsumesTest, NarrowingEqualsDirectEvaluation) {
   }
 }
 
-// --- the cooperative cursor, driven deterministically ------------------------
+// --- the filter cache behind SelectOp ----------------------------------------
 
 constexpr size_t kChunk = 1024;
 
-size_t PullAll(SharedScanParticipant* p) {
+/// Rows a Select over a ScanOp of `t` emits, with the cache bound.
+size_t SelectRows(const Table& t, Expr filter, FilterCache* cache,
+                  size_t chunk_rows = kChunk) {
+  ExecContext ctx;
+  ctx.shared_scans = cache;
+  SelectOp op(std::make_unique<ScanOp>(&t, chunk_rows), std::move(filter),
+              &ctx, &t, chunk_rows);
+  CCDB_CHECK(op.Open().ok());
   size_t rows = 0;
   Chunk out;
   for (;;) {
-    auto more = p->NextChunk(&out);
+    auto more = op.Next(&out);
     CCDB_CHECK(more.ok());
-    if (!*more) return rows;
+    if (!*more) break;
     rows += out.rows;
   }
+  op.Close();
+  return rows;
 }
 
-TEST(SharedScanRegistryTest, FanOutDrivesEachChunkOnceAndNarrowsSubsumed) {
-  Table t = MakeItems(10 * kChunk);
-  SharedScanRegistry reg;
-  Expr weak = N(Between(Col("qty"), 1, 4));
-  Expr strong = N(Col("qty") == 3u);
-  auto a = reg.Attach(&t, &weak, kChunk, nullptr);
-  auto b = reg.Attach(&t, &strong, kChunk, nullptr);
-  auto c = reg.Attach(&t, nullptr, kChunk, nullptr);
-  ASSERT_TRUE(a.ok() && b.ok() && c.ok());
-
-  // One thread, pulls interleaved: whoever needs the next chunk first
-  // drives it; the others consume from their queues.
-  size_t ra = 0, rb = 0, rc = 0;
-  Chunk out;
-  for (;;) {
-    auto ma = (*a)->NextChunk(&out);
-    ASSERT_TRUE(ma.ok());
-    if (!*ma) break;
-    ra += out.rows;
-    auto mb = (*b)->NextChunk(&out);
-    ASSERT_TRUE(mb.ok() && *mb);
-    rb += out.rows;
-    auto mc = (*c)->NextChunk(&out);
-    ASSERT_TRUE(mc.ok() && *mc);
-    rc += out.rows;
-  }
-  EXPECT_EQ(ra, Oracle(t, weak).size());
-  EXPECT_EQ(rb, Oracle(t, strong).size());
-  EXPECT_EQ(rc, t.num_rows());
-
-  SharedScanRegistry::Stats s = reg.stats();
-  EXPECT_EQ(s.attaches, 3u);
-  EXPECT_EQ(s.attaches_private, 0u);
-  EXPECT_EQ(s.chunks_driven, 10u);       // each chunk built exactly once
-  EXPECT_EQ(s.chunks_fanned_out, 30u);   // ... and delivered to all three
-  EXPECT_EQ(s.chunks_private, 0u);
-  EXPECT_EQ(s.filter_full_evals, 10u);   // the weak filter, once per chunk
-  EXPECT_EQ(s.filter_narrowed, 10u);     // strong = narrow(weak survivors)
-  EXPECT_EQ(s.filter_copied, 0u);
-  EXPECT_EQ(s.overflows, 0u);
-}
-
-TEST(SharedScanRegistryTest, EquivalentFiltersCopyTheCandidateList) {
+TEST(FilterCacheTest, EquivalentFiltersCopyTheCandidateList) {
   Table t = MakeItems(6 * kChunk);
-  SharedScanRegistry reg;
+  FilterCache cache;
   // Same predicate, different syntax: a conjunction of bounds vs Between.
-  Expr f1 = N(Col("qty") >= 2u && Col("qty") <= 3u);
-  Expr f2 = N(Between(Col("qty"), 2, 3));
-  ASSERT_TRUE(ExprSubsumes(f1, f2) && ExprSubsumes(f2, f1));
-  auto a = reg.Attach(&t, &f1, kChunk, nullptr);
-  auto b = reg.Attach(&t, &f2, kChunk, nullptr);
-  ASSERT_TRUE(a.ok() && b.ok());
-  size_t ra = 0, rb = 0;
-  Chunk out;
-  for (;;) {
-    auto ma = (*a)->NextChunk(&out);
-    ASSERT_TRUE(ma.ok());
-    if (!*ma) break;
-    ra += out.rows;
-    auto mb = (*b)->NextChunk(&out);
-    ASSERT_TRUE(mb.ok() && *mb);
-    rb += out.rows;
-  }
-  EXPECT_EQ(ra, rb);
-  EXPECT_EQ(ra, Oracle(t, f1).size());
-  SharedScanRegistry::Stats s = reg.stats();
+  Expr f1 = Col("qty") >= 2u && Col("qty") <= 3u;
+  Expr f2 = Between(Col("qty"), 2, 3);
+  ASSERT_TRUE(ExprSubsumes(N(f1), N(f2)) && ExprSubsumes(N(f2), N(f1)));
+  size_t expect = Oracle(t, N(f1)).size();
+  EXPECT_EQ(SelectRows(t, f1, &cache), expect);
+  EXPECT_EQ(SelectRows(t, f2, &cache), expect);
+  FilterCache::Stats s = cache.stats();
   EXPECT_EQ(s.filter_full_evals, 6u);  // one of the pair, once per chunk
-  EXPECT_EQ(s.filter_copied, 6u);      // the other copies its list
+  EXPECT_EQ(s.filter_copied, 6u);      // the other reuses its list
   EXPECT_EQ(s.filter_narrowed, 0u);
 }
 
-TEST(SharedScanRegistryTest, MidPassAttachCatchesUpPrivately) {
-  Table t = MakeItems(8 * kChunk);
-  SharedScanRegistry reg;
-  auto a = reg.Attach(&t, nullptr, kChunk, nullptr);
-  ASSERT_TRUE(a.ok());
-  Chunk out;
-  for (int i = 0; i < 3; ++i) {  // cursor moves to chunk 3
-    auto m = (*a)->NextChunk(&out);
-    ASSERT_TRUE(m.ok() && *m);
-  }
-  Expr f = N(Col("qty") <= 3u);
-  auto b = reg.Attach(&t, &f, kChunk, nullptr);
-  ASSERT_TRUE(b.ok());
-  size_t rb = PullAll(b->get());
-  size_t ra = 3 * kChunk + PullAll(a->get());
-  EXPECT_EQ(ra, t.num_rows());
-  EXPECT_EQ(rb, Oracle(t, f).size());  // chunks 0-2 privately, 3-7 shared
-  SharedScanRegistry::Stats s = reg.stats();
-  EXPECT_EQ(s.chunks_private, 3u);
-  EXPECT_EQ(s.attaches_private, 0u);  // a real member, just catching up
-}
-
-TEST(SharedScanRegistryTest, DetachMidPassLeavesRemainingCorrect) {
-  Table t = MakeItems(8 * kChunk);
-  SharedScanRegistry reg;
-  Expr f = N(Col("qty") != 2u);
-  auto a = reg.Attach(&t, nullptr, kChunk, nullptr);
-  auto b = reg.Attach(&t, &f, kChunk, nullptr);
-  ASSERT_TRUE(a.ok() && b.ok());
-  Chunk out;
-  size_t ra = 0;
-  for (int i = 0; i < 2; ++i) {
-    auto ma = (*a)->NextChunk(&out);
-    ASSERT_TRUE(ma.ok() && *ma);
-    ra += out.rows;
-    auto mb = (*b)->NextChunk(&out);
-    ASSERT_TRUE(mb.ok() && *mb);
-  }
-  b->reset();  // detach mid-pass (what cancel / Close / Limit does)
-  ra += PullAll(a->get());
-  EXPECT_EQ(ra, t.num_rows());
-}
-
-TEST(SharedScanRegistryTest, CancelledParticipantFailsCleanOthersFinish) {
-  Table t = MakeItems(6 * kChunk);
-  SharedScanRegistry reg;
-  ScheduleContext sched;
-  ExecContext cancelled_ctx;
-  cancelled_ctx.sched = &sched;
-  auto a = reg.Attach(&t, nullptr, kChunk, nullptr);
-  auto b = reg.Attach(&t, nullptr, kChunk, &cancelled_ctx);
-  ASSERT_TRUE(a.ok() && b.ok());
-  Chunk out;
-  auto ma = (*a)->NextChunk(&out);
-  ASSERT_TRUE(ma.ok() && *ma);
-  auto mb = (*b)->NextChunk(&out);
-  ASSERT_TRUE(mb.ok() && *mb);
-  sched.cancelled.store(true);
-  auto aborted = (*b)->NextChunk(&out);
-  ASSERT_FALSE(aborted.ok());
-  EXPECT_EQ(aborted.status().code(), StatusCode::kCancelled);
-  b->reset();  // the operator's Close on the error path
-  EXPECT_EQ(kChunk + PullAll(a->get()), t.num_rows());
-}
-
-TEST(SharedScanRegistryTest, SlowConsumerOverflowsToPrivateScanning) {
-  Table t = MakeItems(10 * kChunk);
-  SharedScanRegistry::Options opts;
-  opts.max_buffered_chunks = 2;
-  SharedScanRegistry reg(opts);
-  auto fast = reg.Attach(&t, nullptr, kChunk, nullptr);
-  auto slow = reg.Attach(&t, nullptr, kChunk, nullptr);
-  ASSERT_TRUE(fast.ok() && slow.ok());
-  // The fast participant runs the whole pass without the slow one
-  // consuming anything: the slow queue caps at 2, then overflows.
-  EXPECT_EQ(PullAll(fast->get()), t.num_rows());
-  SharedScanRegistry::Stats mid = reg.stats();
-  EXPECT_EQ(mid.overflows, 1u);
-  // The slow participant still produces the complete, correct scan.
-  EXPECT_EQ(PullAll(slow->get()), t.num_rows());
-  SharedScanRegistry::Stats s = reg.stats();
-  EXPECT_EQ(s.chunks_driven, 10u);
-  EXPECT_EQ(s.chunks_fanned_out, 12u);  // fast: 10, slow: 2 before overflow
-  EXPECT_EQ(s.chunks_private, 8u);      // slow finishes privately
-}
-
-TEST(SharedScanRegistryTest, GeometryMismatchFallsBackToPrivate) {
-  Table t = MakeItems(4 * kChunk);
-  SharedScanRegistry reg;
-  Expr f = N(Col("qty") >= 3u);
-  auto a = reg.Attach(&t, &f, kChunk, nullptr);
-  ASSERT_TRUE(a.ok());
-  auto b = reg.Attach(&t, &f, kChunk / 2, nullptr);  // different chunking
-  ASSERT_TRUE(b.ok());
-  size_t expect = Oracle(t, f).size();
-  EXPECT_EQ(PullAll(a->get()), expect);
-  EXPECT_EQ(PullAll(b->get()), expect);
-  EXPECT_EQ(reg.stats().attaches_private, 1u);
-}
-
-TEST(SharedScanRegistryTest, EmptyTableEmitsOneEmptyChunkPerParticipant) {
-  auto rs = RowStore::Make({{"k", FieldType::kU32}}, 4);
-  ASSERT_TRUE(rs.ok());
-  Table t = *Table::FromRowStore(*rs);
-  SharedScanRegistry reg;
-  auto a = reg.Attach(&t, nullptr, kChunk, nullptr);
-  auto b = reg.Attach(&t, nullptr, kChunk, nullptr);
-  ASSERT_TRUE(a.ok() && b.ok());
-  Chunk out;
-  auto ma = (*a)->NextChunk(&out);
-  ASSERT_TRUE(ma.ok() && *ma);
-  EXPECT_EQ(out.rows, 0u);
-  auto again = (*a)->NextChunk(&out);
-  ASSERT_TRUE(again.ok());
-  EXPECT_FALSE(*again);
-  EXPECT_EQ(PullAll(b->get()), 0u);
-}
-
-// The cross-pass filter cache: a repeat query over unchanged data copies
-// last pass's candidate lists instead of re-reading the column, and a
-// later stronger filter narrows them.
-TEST(SharedScanRegistryTest, FilterCachePersistsAcrossPasses) {
+// A repeat query over unchanged data reuses the earlier candidate lists
+// instead of re-reading the column, and a later stronger filter narrows
+// them.
+TEST(FilterCacheTest, FilterCachePersistsAcrossQueries) {
   Table t = MakeItems(5 * kChunk);
-  SharedScanRegistry reg;
-  Expr weak = N(Between(Col("qty"), 1, 4));
-  Expr strong = N(Col("qty") == 3u);
-  size_t expect_weak = Oracle(t, weak).size();
-  size_t expect_strong = Oracle(t, strong).size();
+  FilterCache cache;
+  Expr weak = Between(Col("qty"), 1, 4);
+  Expr strong = Col("qty") == 3u;
+  size_t expect_weak = Oracle(t, N(weak)).size();
+  size_t expect_strong = Oracle(t, N(strong)).size();
 
-  // Pass 1: the filter is evaluated for real, once per chunk, and cached.
-  auto a = reg.Attach(&t, &weak, kChunk, nullptr);
-  ASSERT_TRUE(a.ok());
-  EXPECT_EQ(PullAll(a->get()), expect_weak);
-  a->reset();  // detach: the group is empty, but the cache survives
-  EXPECT_EQ(reg.stats().filter_full_evals, 5u);
-  EXPECT_EQ(reg.stats().filter_copied, 0u);
+  // First query: the filter is evaluated for real, once per chunk, and
+  // cached.
+  EXPECT_EQ(SelectRows(t, weak, &cache), expect_weak);
+  EXPECT_EQ(cache.stats().filter_full_evals, 5u);
+  EXPECT_EQ(cache.stats().filter_copied, 0u);
 
-  // Pass 2, same filter: every chunk's list is copied from the cache.
-  auto b = reg.Attach(&t, &weak, kChunk, nullptr);
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(PullAll(b->get()), expect_weak);
-  b->reset();
-  EXPECT_EQ(reg.stats().filter_full_evals, 5u);  // no new column reads
-  EXPECT_EQ(reg.stats().filter_copied, 5u);
+  // Same filter again: every chunk's list comes from the cache.
+  EXPECT_EQ(SelectRows(t, weak, &cache), expect_weak);
+  EXPECT_EQ(cache.stats().filter_full_evals, 5u);  // no new column reads
+  EXPECT_EQ(cache.stats().filter_copied, 5u);
 
-  // Pass 3, strictly stronger filter: narrowed from the cached survivors.
-  auto c = reg.Attach(&t, &strong, kChunk, nullptr);
-  ASSERT_TRUE(c.ok());
-  EXPECT_EQ(PullAll(c->get()), expect_strong);
-  EXPECT_EQ(reg.stats().filter_full_evals, 5u);
-  EXPECT_EQ(reg.stats().filter_narrowed, 5u);
+  // Strictly stronger filter: narrowed from the cached survivors.
+  EXPECT_EQ(SelectRows(t, strong, &cache), expect_strong);
+  EXPECT_EQ(cache.stats().filter_full_evals, 5u);
+  EXPECT_EQ(cache.stats().filter_narrowed, 5u);
 }
 
-TEST(SharedScanRegistryTest, FilterCacheInvalidatedByDataVersion) {
+TEST(FilterCacheTest, FilterCacheInvalidatedByDataVersionAndChunking) {
   auto rs = RowStore::Make({{"qty", FieldType::kU32}}, 3 * kChunk + 8);
   ASSERT_TRUE(rs.ok());
   for (size_t i = 0; i < 3 * kChunk; ++i) {
@@ -469,16 +310,13 @@ TEST(SharedScanRegistryTest, FilterCacheInvalidatedByDataVersion) {
     rs->SetU32(r, 0, static_cast<uint32_t>(1 + i % 5));
   }
   Table t = *Table::FromRowStore(*rs);
-  SharedScanRegistry reg;
-  Expr f = N(Col("qty") <= 2u);
-  auto a = reg.Attach(&t, &f, kChunk, nullptr);
-  ASSERT_TRUE(a.ok());
-  size_t before = PullAll(a->get());
-  a->reset();
-  EXPECT_EQ(reg.stats().filter_full_evals, 3u);
+  FilterCache cache;
+  Expr f = Col("qty") <= 2u;
+  size_t before = SelectRows(t, f, &cache);
+  EXPECT_EQ(cache.stats().filter_full_evals, 3u);
 
-  // Ingest moves the data version (and the row count): the next pass must
-  // re-evaluate rather than serve stale lists.
+  // Ingest moves the data version (and the row count): the next query
+  // must re-evaluate rather than serve stale lists.
   auto extra = RowStore::Make({{"qty", FieldType::kU32}}, 8);
   ASSERT_TRUE(extra.ok());
   for (size_t i = 0; i < 8; ++i) {
@@ -487,11 +325,89 @@ TEST(SharedScanRegistryTest, FilterCacheInvalidatedByDataVersion) {
   }
   ASSERT_TRUE(t.AppendRows(*extra).ok());
 
-  auto b = reg.Attach(&t, &f, kChunk, nullptr);
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(PullAll(b->get()), before + 8);
-  EXPECT_EQ(reg.stats().filter_copied, 0u);
-  EXPECT_EQ(reg.stats().filter_full_evals, 7u);  // 3 + 4 chunks, all fresh
+  EXPECT_EQ(SelectRows(t, f, &cache), before + 8);
+  EXPECT_EQ(cache.stats().filter_copied, 0u);
+  EXPECT_EQ(cache.stats().filter_full_evals, 7u);  // 3 + 4 chunks, all fresh
+
+  // A different chunk size describes different chunks: evaluate afresh.
+  EXPECT_EQ(SelectRows(t, f, &cache, 2 * kChunk), before + 8);
+  EXPECT_EQ(cache.stats().filter_copied, 0u);
+  EXPECT_EQ(cache.stats().filter_full_evals, 9u);
+}
+
+// A query cancelled mid-scan fails cleanly and stores only the chunks it
+// finished; a later query through the same cache is still exact.
+TEST(FilterCacheTest, CancelledSelectLeavesTheCacheExact) {
+  // Chunks big enough to split into morsels, whose boundaries poll cancel.
+  constexpr size_t kBig = 16 * kChunk;
+  Table t = MakeItems(6 * kBig);
+  FilterCache cache;
+  ScheduleContext sched;
+  ExecContext ctx;
+  ctx.shared_scans = &cache;
+  ctx.sched = &sched;
+  ctx.pool = &ThreadPool::Shared();
+  ctx.parallelism = 2;
+  Expr f = Col("qty") != 2u;
+  SelectOp op(std::make_unique<ScanOp>(&t, kBig), f, &ctx, &t, kBig);
+  ASSERT_TRUE(op.Open().ok());
+  Chunk out;
+  for (int i = 0; i < 2; ++i) {
+    auto more = op.Next(&out);
+    ASSERT_TRUE(more.ok() && *more);
+  }
+  sched.cancelled.store(true);
+  auto aborted = op.Next(&out);
+  ASSERT_FALSE(aborted.ok());
+  EXPECT_EQ(aborted.status().code(), StatusCode::kCancelled);
+  op.Close();
+  EXPECT_EQ(cache.stats().filter_full_evals, 2u);
+
+  EXPECT_EQ(SelectRows(t, f, &cache, kBig), Oracle(t, N(f)).size());
+  EXPECT_EQ(cache.stats().filter_copied, 2u);     // the finished chunks
+  EXPECT_EQ(cache.stats().filter_full_evals, 6u);  // plus the other four
+}
+
+TEST(FilterCacheTest, EmptyTableEmitsOneEmptyChunk) {
+  auto rs = RowStore::Make({{"k", FieldType::kU32}}, 4);
+  ASSERT_TRUE(rs.ok());
+  Table t = *Table::FromRowStore(*rs);
+  FilterCache cache;
+  ExecContext ctx;
+  ctx.shared_scans = &cache;
+  for (int query = 0; query < 2; ++query) {
+    SelectOp op(std::make_unique<ScanOp>(&t, kChunk), Col("k") < 5u, &ctx,
+                &t, kChunk);
+    ASSERT_TRUE(op.Open().ok());
+    Chunk out;
+    auto first = op.Next(&out);
+    ASSERT_TRUE(first.ok() && *first);
+    EXPECT_EQ(out.rows, 0u);
+    auto again = op.Next(&out);
+    ASSERT_TRUE(again.ok());
+    EXPECT_FALSE(*again);
+  }
+  EXPECT_EQ(cache.stats().filter_full_evals, 1u);
+  EXPECT_EQ(cache.stats().filter_copied, 1u);
+}
+
+// A ninth distinct filter is evaluated but not stored, and the first eight
+// are never evicted.
+TEST(FilterCacheTest, NinthDistinctFilterBypassesTheCache) {
+  Table t = MakeItems(4 * kChunk);
+  FilterCache cache;
+  // `order == k` for distinct k: no filter subsumes another.
+  auto filter = [](uint32_t k) { return Col("order") == k; };
+  for (uint32_t k = 0; k < FilterCache::kMaxFiltersPerTable; ++k) {
+    EXPECT_EQ(SelectRows(t, filter(k), &cache), 3u);
+  }
+  EXPECT_EQ(cache.stats().filter_full_evals, 8u * 4);
+  EXPECT_EQ(SelectRows(t, filter(8), &cache), 3u);
+  EXPECT_EQ(SelectRows(t, filter(8), &cache), 3u);
+  EXPECT_EQ(cache.stats().filter_full_evals, 10u * 4);  // both runs read
+  EXPECT_EQ(cache.stats().filter_copied, 0u);
+  EXPECT_EQ(SelectRows(t, filter(0), &cache), 3u);
+  EXPECT_EQ(cache.stats().filter_copied, 4u);  // the first is still there
 }
 
 // --- end-to-end byte-identity ------------------------------------------------
@@ -546,10 +462,10 @@ TEST(SharedScanExecTest, ConcurrentPlansByteIdenticalToIndependent) {
       expected.push_back(*Execute(p, independent));
     }
 
-    SharedScanRegistry reg;
+    FilterCache cache;
     PlannerOptions shared = independent;
-    shared.exec.shared_scans = &reg;
-    constexpr int kRounds = 3;  // re-attach across fresh passes
+    shared.exec.shared_scans = &cache;
+    constexpr int kRounds = 3;  // later rounds hit the earlier lists
     std::vector<std::thread> threads;
     std::vector<Status> errors(plans.size(), Status::Ok());
     for (size_t i = 0; i < plans.size(); ++i) {
@@ -569,8 +485,12 @@ TEST(SharedScanExecTest, ConcurrentPlansByteIdenticalToIndependent) {
     }
     for (auto& th : threads) th.join();
     for (const Status& s : errors) ASSERT_TRUE(s.ok()) << s.ToString();
-    EXPECT_EQ(reg.stats().attaches,
-              static_cast<uint64_t>(plans.size()) * kRounds);
+    // Three filtered plans, 30 chunks of 4096 rows each, every round; from
+    // the second round on, each plan finds its own lists.
+    FilterCache::Stats s = cache.stats();
+    EXPECT_EQ(s.filter_full_evals + s.filter_narrowed + s.filter_copied,
+              3u * 30 * kRounds);
+    EXPECT_GE(s.filter_copied, 3u * 30 * (kRounds - 1));
   }
 }
 
@@ -615,33 +535,140 @@ TEST(SharedScanExecTest, ServerResultsIdenticalWithSharingOnAndOff) {
     for (auto& th : clients) th.join();
     EXPECT_EQ(failures.load(), 0) << "sharing=" << sharing;
     Server::Stats stats = server.stats();
+    const Server::SharedScanStats& sc = stats.shared_scans;
+    uint64_t outcomes =
+        sc.filter_full_evals + sc.filter_narrowed + sc.filter_copied;
     if (sharing) {
-      EXPECT_GT(stats.shared_scans.attaches, 0u);
+      EXPECT_GT(outcomes, 0u);
+      EXPECT_GT(sc.filter_copied, 0u);
     } else {
-      EXPECT_EQ(stats.shared_scans.attaches, 0u);
+      EXPECT_EQ(outcomes, 0u);
     }
+    EXPECT_EQ(sc.chunks_driven + sc.chunks_fanned_out + sc.overflows, 0u);
   }
 }
 
-TEST(SharedScanExecTest, PlannerLowersFusedSharedScanWithFilterInfo) {
+TEST(SharedScanExecTest, PlannerBindsFilterCacheWithFilterInfo) {
   Table t = MakeItems(20000);
   auto plan = QueryBuilder(t)
                   .Filter(Col("qty") >= 2u && Col("price") < 50.0)
                   .Build();
   ASSERT_TRUE(plan.ok());
-  SharedScanRegistry reg;
+  FilterCache cache;
   PlannerOptions opts = TestPlannerOptions(1);
-  opts.exec.shared_scans = &reg;
+  opts.exec.shared_scans = &cache;
   Planner planner(opts);
   auto physical = planner.Lower(*plan);
   ASSERT_TRUE(physical.ok());
-  std::string explain = physical->ExplainCosts();
-  EXPECT_NE(explain.find("SharedScan"), std::string::npos) << explain;
+  // The cached Select reports its filter exactly like an uncached one.
+  ASSERT_EQ(physical->filters().size(), 1u);
+  const FilterNodeInfo& info = physical->filters()[0];
+  EXPECT_STREQ(info.node, "select");
+  EXPECT_EQ(info.conjuncts.size(), 2u);
+  EXPECT_NE(info.normalized.find("qty"), std::string::npos);
+  EXPECT_NE(info.normalized.find("price"), std::string::npos);
   auto result = physical->Execute();
   ASSERT_TRUE(result.ok());
+  EXPECT_EQ(cache.stats().filter_full_evals, 5u);  // 20000 rows / 4096
   auto expected = Execute(*plan, TestPlannerOptions(1));
   ASSERT_TRUE(expected.ok());
-  ExpectSameResult(*expected, *result, "fused shared scan");
+  ExpectSameResult(*expected, *result, "cached select");
+}
+
+// The cache keys tables on Table::liveness(): a table copy-assigned over a
+// cached one at the same address has the same row count, chunking and
+// data version (0 for both), so only the token tells them apart.
+TEST(SharedScanExecTest, CopyAssignedTableNeverServedStaleLists) {
+  const Table before = MakeItems(20000);
+  const Table after = MakeItems(20000, /*shift=*/2);
+  for (size_t parallelism : {size_t{1}, size_t{2}, size_t{8}}) {
+    Table t = before;
+    std::vector<LogicalPlan> plans = MakeWorkload(t);
+    FilterCache cache;
+    PlannerOptions cached = TestPlannerOptions(parallelism);
+    cached.exec.shared_scans = &cache;
+    for (const LogicalPlan& p : plans) ASSERT_TRUE(Execute(p, cached).ok());
+    ASSERT_EQ(cache.stats().filter_copied, 0u);
+
+    t = after;  // same address, new liveness token
+    ASSERT_EQ(t.data_version(), 0u);
+    for (size_t i = 0; i < plans.size(); ++i) {
+      auto expected = Execute(plans[i], TestPlannerOptions(parallelism));
+      auto got = Execute(plans[i], cached);
+      ASSERT_TRUE(expected.ok() && got.ok());
+      ExpectSameResult(*expected, *got,
+                       "plan " + std::to_string(i) + " parallelism " +
+                           std::to_string(parallelism));
+    }
+    // Served from the old table's lists, these would have been copies.
+    EXPECT_EQ(cache.stats().filter_copied, 0u) << parallelism;
+  }
+}
+
+// Only a Select directly over a base-table scan consults the cache; a
+// Select over join output (and every Select past the eighth distinct
+// filter) evaluates as if no cache were bound.
+TEST(SharedScanExecTest, NonScanSelectAndNinthFilterBypassTheCache) {
+  Table items = MakeItems(20000);
+  auto rs = RowStore::Make({{"id", FieldType::kU32}, {"w", FieldType::kU32}},
+                           6001);
+  ASSERT_TRUE(rs.ok());
+  for (uint32_t i = 0; i < 6000; ++i) {
+    size_t r = *rs->AppendRow();
+    rs->SetU32(r, 0, i);
+    rs->SetU32(r, 1, i % 7);
+  }
+  Table orders = *Table::FromRowStore(*rs);
+
+  std::vector<LogicalPlan> plans;
+  auto over_join = QueryBuilder(items)
+                       .Join(orders, "order", "id")
+                       .Filter(Col("w") <= 3u && Col("qty") != 2u)
+                       .GroupByAgg({"w"}, {Agg::Sum("qty"), Agg::Count()})
+                       .OrderBy("w")
+                       .Build();
+  ASSERT_TRUE(over_join.ok());
+  plans.push_back(*std::move(over_join));
+  // Nine mutually non-subsuming scan filters: the ninth is not stored.
+  for (uint32_t k = 0; k <= FilterCache::kMaxFiltersPerTable; ++k) {
+    auto p = QueryBuilder(items)
+                 .Filter(Between(Col("order"), 100 * k, 100 * k + 49))
+                 .GroupByAgg({"qty"}, {Agg::Sum("order"), Agg::Count()})
+                 .OrderBy("qty")
+                 .Build();
+    ASSERT_TRUE(p.ok());
+    plans.push_back(*std::move(p));
+  }
+
+  for (size_t parallelism : {size_t{1}, size_t{2}, size_t{8}}) {
+    FilterCache cache;
+    PlannerOptions cached = TestPlannerOptions(parallelism);
+    cached.exec.shared_scans = &cache;
+    for (int round = 0; round < 2; ++round) {
+      for (size_t i = 0; i < plans.size(); ++i) {
+        auto expected = Execute(plans[i], TestPlannerOptions(parallelism));
+        auto got = Execute(plans[i], cached);
+        ASSERT_TRUE(expected.ok() && got.ok());
+        ExpectSameResult(*expected, *got,
+                         "plan " + std::to_string(i) + " round " +
+                             std::to_string(round) + " parallelism " +
+                             std::to_string(parallelism));
+        if (i == 0) {
+          // The Select over the join never touches the cache: the counts
+          // are those of the scan filters of earlier rounds only.
+          FilterCache::Stats s = cache.stats();
+          EXPECT_EQ(s.filter_full_evals + s.filter_narrowed + s.filter_copied,
+                    round == 0 ? 0u : 9u * 5);
+        }
+      }
+    }
+    // 5 chunks per scan. Round 0 evaluates all nine filters; round 1
+    // copies the first eight and re-evaluates the ninth.
+    FilterCache::Stats s = cache.stats();
+    EXPECT_EQ(s.filter_full_evals, 9u * 5 + 5u) << parallelism;
+    EXPECT_EQ(s.filter_copied, 8u * 5) << parallelism;
+    EXPECT_EQ(s.filter_narrowed, 0u) << parallelism;
+  }
 }
 
 }  // namespace

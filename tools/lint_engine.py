@@ -32,7 +32,7 @@ covers generic bug patterns; this pass enforces the conventions that are
   undated-todo     TODOs carry a date — `TODO(YYYY-MM-DD): ...` — so stale
                    ones are visible in review.
   table-identity   Hashing or comparing `Table*` pointers as identities
-                   (plan-cache fingerprints, shared-scan cursor groups) is
+                   (plan-cache fingerprints, filter-cache table entries) is
                    only allowed with an explicit justification, because
                    pointer identity silently excludes equal copies and
                    dangles when the table dies first.
