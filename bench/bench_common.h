@@ -1,6 +1,7 @@
 // Shared plumbing for the figure-reproduction benchmarks: workload
 // generation (the paper's unique uniform relations with hit-rate-1 join
-// partners), scale selection, and run headers.
+// partners), scale selection, run headers, and the section merge behind
+// the benches' --json-merge flag.
 //
 // Every figure bench accepts:
 //   --full          paper-scale cardinalities (minutes); default is a
@@ -11,6 +12,7 @@
 #ifndef CCDB_BENCH_BENCH_COMMON_H_
 #define CCDB_BENCH_BENCH_COMMON_H_
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -82,6 +84,38 @@ inline std::pair<std::vector<Bun>, std::vector<Bun>> JoinPair(size_t n,
   for (size_t i = 0; i < n; ++i)
     r[i] = {static_cast<oid_t>(0x40000000 + i), values[i]};
   return {std::move(l), std::move(r)};
+}
+
+/// Rewrites `path` with `section` spliced in before the final closing brace
+/// (or as a fresh object if the file is missing or empty) — no JSON
+/// library, matching the hand-rolled writer in parallel_exec. Returns false
+/// when the file cannot be opened, written or closed.
+inline bool MergeJsonSection(const std::string& path,
+                             const std::string& section) {
+  std::string existing;
+  if (FILE* in = std::fopen(path.c_str(), "r")) {
+    char buf[4096];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof buf, in)) > 0) existing.append(buf, n);
+    std::fclose(in);
+  }
+  std::string out;
+  size_t brace = existing.find_last_of('}');
+  if (brace == std::string::npos) {
+    out = "{\n" + section + "\n}\n";
+  } else {
+    std::string head = existing.substr(0, brace);
+    while (!head.empty() &&
+           std::isspace(static_cast<unsigned char>(head.back()))) {
+      head.pop_back();
+    }
+    const char* comma = (!head.empty() && head.back() == '{') ? "" : ",";
+    out = head + comma + "\n" + section + "\n}\n";
+  }
+  FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  bool wrote = std::fwrite(out.data(), 1, out.size(), f) == out.size();
+  return std::fclose(f) == 0 && wrote;
 }
 
 }  // namespace ccdb::bench

@@ -17,7 +17,6 @@
 //                       BENCH_ci.json written earlier by parallel_exec
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -26,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "exec/plan.h"
 #include "exec/table.h"
 #include "serve/server.h"
@@ -55,35 +55,6 @@ struct LatencySink {
     ms.push_back(v);
   }
 };
-
-/// Rewrites `path` with `section` spliced in before the final closing brace
-/// (or as a fresh object if the file is missing/empty) — no JSON library,
-/// matching the hand-rolled writer in parallel_exec.
-bool MergeJsonSection(const std::string& path, const std::string& section) {
-  std::string existing;
-  if (FILE* in = std::fopen(path.c_str(), "r")) {
-    char buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, in)) > 0) existing.append(buf, n);
-    std::fclose(in);
-  }
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  size_t brace = existing.find_last_of('}');
-  if (brace == std::string::npos) {
-    std::fprintf(f, "{\n%s\n}\n", section.c_str());
-  } else {
-    std::string head = existing.substr(0, brace);
-    while (!head.empty() &&
-           std::isspace(static_cast<unsigned char>(head.back()))) {
-      head.pop_back();
-    }
-    const char* comma = (!head.empty() && head.back() == '{') ? "" : ",";
-    std::fprintf(f, "%s%s\n%s\n}\n", head.c_str(), comma, section.c_str());
-  }
-  std::fclose(f);
-  return true;
-}
 
 }  // namespace
 
@@ -333,8 +304,8 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(total_queries), qps, hit_rate,
         point_p50, point_p99, analytic_p50, analytic_p99, fair_p99, fifo_p99,
         fairness_ratio);
-    if (!MergeJsonSection(json_path, buf)) {
-      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
+    if (!bench::MergeJsonSection(json_path, buf)) {
+      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
       return 1;
     }
     std::printf("\nmerged \"concurrent_serving\" into %s\n", json_path.c_str());

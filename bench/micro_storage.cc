@@ -99,10 +99,14 @@ BENCHMARK(BM_SelectShipmodeNsm);
 void BM_SelectShipmodeEncodedDsm(benchmark::State& state) {
   // §3.1: predicate remapped to a 1-byte code; scan stride 1 byte.
   const Table& t = DecomposedWideTable();
+  size_t f = *t.schema().FieldIndex("shipmode");
+  const Column& codes = t.column_bat(f).tail();
+  CCDB_CHECK(t.is_encoded(f) && codes.type() == PhysType::kU8);
+  auto code = static_cast<uint8_t>(*t.dict(f).Lookup("MAIL"));
+  DirectMemory mem;
   for (auto _ : state) {
-    auto sel = t.SelectEqStr("shipmode", "MAIL");
-    CCDB_CHECK(sel.ok());
-    benchmark::DoNotOptimize(sel->size());
+    auto sel = EqSelect(codes.Span<uint8_t>(), code, mem);
+    benchmark::DoNotOptimize(sel.size());
   }
   state.SetItemsProcessed(state.iterations() * t.num_rows());
   state.SetLabel("stride=1B (encoded)");
@@ -144,10 +148,12 @@ BENCHMARK(BM_DictEncodeStrings);
 
 void BM_RangeSelectU32(benchmark::State& state) {
   const Table& t = DecomposedWideTable();
+  auto qty =
+      t.column_bat(*t.schema().FieldIndex("qty")).tail().Span<uint32_t>();
+  DirectMemory mem;
   for (auto _ : state) {
-    auto sel = t.SelectRangeU32("qty", 10, 20);
-    CCDB_CHECK(sel.ok());
-    benchmark::DoNotOptimize(sel->size());
+    auto sel = RangeSelect(qty, 10u, 20u, mem);
+    benchmark::DoNotOptimize(sel.size());
   }
   state.SetItemsProcessed(state.iterations() * t.num_rows());
 }

@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
   // Select path: morsel-parallel candidate evaluation.
   auto select_query = [&]() {
     auto p = QueryBuilder(fact)
-                 .Select(Predicate::RangeU32("v", 0, 99))
+                 .Filter(Between(Col("v"), 0u, 99u))
                  .GroupByAgg({"g"}, {Agg::Sum("v"), Agg::Count()})
                  .Build();
     CCDB_CHECK(p.ok());

@@ -15,13 +15,13 @@
 //   --smoke             tiny scale, no speedup assertion (the TSan CI job)
 //   --json-merge=PATH   merge a "shared_scan" section into BENCH_ci.json
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "exec/plan.h"
 #include "exec/table.h"
 #include "serve/server.h"
@@ -38,35 +38,6 @@ double Percentile(std::vector<double> v, double p) {
   size_t idx = static_cast<size_t>(p * static_cast<double>(v.size() - 1) + 0.5);
   if (idx >= v.size()) idx = v.size() - 1;
   return v[idx];
-}
-
-/// Rewrites `path` with `section` spliced in before the final closing brace
-/// (or as a fresh object if the file is missing/empty) — no JSON library,
-/// matching the hand-rolled writer in parallel_exec.
-bool MergeJsonSection(const std::string& path, const std::string& section) {
-  std::string existing;
-  if (FILE* in = std::fopen(path.c_str(), "r")) {
-    char buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, in)) > 0) existing.append(buf, n);
-    std::fclose(in);
-  }
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  size_t brace = existing.find_last_of('}');
-  if (brace == std::string::npos) {
-    std::fprintf(f, "{\n%s\n}\n", section.c_str());
-  } else {
-    std::string head = existing.substr(0, brace);
-    while (!head.empty() &&
-           std::isspace(static_cast<unsigned char>(head.back()))) {
-      head.pop_back();
-    }
-    const char* comma = (!head.empty() && head.back() == '{') ? "" : ",";
-    std::fprintf(f, "%s%s\n%s\n}\n", head.c_str(), comma, section.c_str());
-  }
-  std::fclose(f);
-  return true;
 }
 
 struct ModeResult {
@@ -242,8 +213,8 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(s.filter_full_evals),
         static_cast<unsigned long long>(s.filter_narrowed),
         static_cast<unsigned long long>(s.filter_copied));
-    if (!MergeJsonSection(json_path, buf)) {
-      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
+    if (!bench::MergeJsonSection(json_path, buf)) {
+      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
       return 1;
     }
     std::printf("merged \"shared_scan\" into %s\n", json_path.c_str());

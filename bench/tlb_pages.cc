@@ -22,7 +22,6 @@
 //   --smoke             tiny scale, no assertions (the TSan CI job)
 //   --json-merge=PATH   merge a "tlb_pages" section into BENCH_ci.json
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <cstring>
 #include <span>
@@ -39,32 +38,6 @@
 using namespace ccdb;
 
 namespace {
-
-bool MergeJsonSection(const std::string& path, const std::string& section) {
-  std::string existing;
-  if (FILE* in = std::fopen(path.c_str(), "r")) {
-    char buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, in)) > 0) existing.append(buf, n);
-    std::fclose(in);
-  }
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  size_t brace = existing.find_last_of('}');
-  if (brace == std::string::npos) {
-    std::fprintf(f, "{\n%s\n}\n", section.c_str());
-  } else {
-    std::string head = existing.substr(0, brace);
-    while (!head.empty() &&
-           std::isspace(static_cast<unsigned char>(head.back()))) {
-      head.pop_back();
-    }
-    const char* comma = (!head.empty() && head.back() == '{') ? "" : ",";
-    std::fprintf(f, "%s%s\n%s\n}\n", head.c_str(), comma, section.c_str());
-  }
-  std::fclose(f);
-  return true;
-}
 
 /// An arena block faulted in under `policy`, with the grant read back.
 struct Buffer {
@@ -306,7 +279,7 @@ int main(int argc, char** argv) {
     s += line;
   }
   s += "    }\n  }";
-  if (!MergeJsonSection(json_path, s)) {
+  if (!bench::MergeJsonSection(json_path, s)) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
     return 1;
   }

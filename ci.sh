@@ -159,5 +159,9 @@ echo "== bench artifact (BENCH_ci.json) =="
 "$BUILD_DIR/tlb_pages" --json-merge="$BUILD_DIR/BENCH_ci.json"
 
 echo "== examples smoke =="
+# Each example self-checks its results with CCDB_CHECK; a clean exit is the
+# oracle passing.
+"$BUILD_DIR/quickstart" > /dev/null
 "$BUILD_DIR/mil_pipeline" > /dev/null
+"$BUILD_DIR/olap_item_table" > /dev/null
 echo "OK"

@@ -90,7 +90,7 @@ int main() {
   Table item = *Table::FromRowStore(*rs);
 
   auto plan = QueryBuilder(item)
-                  .Select(Predicate::RangeU32("price", 2000, 3000))
+                  .Filter(Between(Col("price"), 2000u, 3000u))
                   .GroupByAgg({"supp"}, {Agg::Sum("qty"), Agg::Count()})
                   .Build();
   CCDB_CHECK(plan.ok());

@@ -454,29 +454,13 @@ SelectOp::SelectOp(std::unique_ptr<Operator> child, Expr expr,
       scan_chunk_rows_(scan_chunk_rows) {
   // An empty conjunction (a childless And, e.g. a default-constructed
   // Expr) is logically true: leave expr_ empty so Next() passes chunks
-  // through, exactly like the empty legacy Predicate conjunction (plan
-  // validation rejects both, but SelectOp is also composed directly).
+  // through (plan validation rejects it, but SelectOp is also composed
+  // directly).
   Expr lowered = OrderConjunctsBySelectivity(NormalizeExpr(std::move(expr)));
   if (lowered.kind != Expr::Kind::kAnd || !lowered.children.empty()) {
     expr_ = std::move(lowered);
   }
 }
-
-SelectOp::SelectOp(std::unique_ptr<Operator> child,
-                   std::vector<Predicate> preds, const ExecContext* ctx)
-    : child_(std::move(child)), ctx_(ctx) {
-  if (!preds.empty()) {
-    Expr e;
-    e.kind = Expr::Kind::kAnd;
-    for (const Predicate& p : preds) e.children.push_back(p.ToExpr());
-    expr_ = OrderConjunctsBySelectivity(NormalizeExpr(std::move(e)));
-  }
-}
-
-SelectOp::SelectOp(std::unique_ptr<Operator> child, Predicate pred,
-                   const ExecContext* ctx)
-    : SelectOp(std::move(child),
-               std::vector<Predicate>{std::move(pred)}, ctx) {}
 
 Status SelectOp::Open() {
   chunk_index_ = 0;

@@ -1,5 +1,5 @@
 // Exec-layer integration: the Fig. 4 Item table decomposed + byte-encoded,
-// selections with predicate remap, group-by, gathers, and table-level joins
+// group-by over an encoded column, string gathers, and table-level joins
 // against a row-store oracle.
 #include <gtest/gtest.h>
 
@@ -51,71 +51,36 @@ TEST(TableTest, EncodingCanBeDisabled) {
   Table t = *Table::FromRowStore(MakeItems(10), /*auto_encode=*/false);
   auto idx = t.schema().FieldIndex("shipmode");
   EXPECT_FALSE(t.is_encoded(*idx));
-  // Unencoded path still answers the same query.
-  auto sel = t.SelectEqStr("shipmode", "AIR");
-  ASSERT_TRUE(sel.ok());
-  EXPECT_EQ(*sel, (std::vector<oid_t>{1, 5, 9}));
-}
-
-TEST(TableTest, SelectEqStrRemapsPredicate) {
-  Table t = *Table::FromRowStore(MakeItems(40));
-  auto sel = t.SelectEqStr("shipmode", "MAIL");
-  ASSERT_TRUE(sel.ok());
-  ASSERT_EQ(sel->size(), 10u);
-  for (oid_t o : *sel) EXPECT_EQ(o % 4, 0u);
-  // Unknown value: empty, not an error.
-  auto none = t.SelectEqStr("shipmode", "PIGEON");
-  ASSERT_TRUE(none.ok());
-  EXPECT_TRUE(none->empty());
-  // Wrong column name -> NotFound.
-  EXPECT_EQ(t.SelectEqStr("nope", "MAIL").status().code(),
-            StatusCode::kNotFound);
-  // Non-string column -> InvalidArgument.
-  EXPECT_EQ(t.SelectEqStr("qty", "MAIL").status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(TableTest, RangeSelects) {
-  Table t = *Table::FromRowStore(MakeItems(20));
-  auto qty = t.SelectRangeU32("qty", 4, 5);
-  ASSERT_TRUE(qty.ok());
-  for (oid_t o : *qty) EXPECT_GE(1 + o % 5, 4u);
-  auto price = t.SelectRangeF64("price", 12.0, 14.0);
-  ASSERT_TRUE(price.ok());
-  EXPECT_EQ(*price, (std::vector<oid_t>{2, 3, 4}));
-  EXPECT_EQ(t.SelectRangeU32("price", 0, 1).status().code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(TableTest, GroupSumOverEncodedColumn) {
   Table t = *Table::FromRowStore(MakeItems(40));
-  auto agg = t.GroupSumU32("shipmode", "qty");
-  ASSERT_TRUE(agg.ok());
-  ASSERT_EQ(agg->size(), 4u);
+  auto plan = QueryBuilder(t)
+                  .GroupByAgg({"shipmode"}, {Agg::Sum("qty"), Agg::Count()})
+                  .Build();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto agg = Execute(*plan);
+  ASSERT_TRUE(agg.ok()) << agg.status().ToString();
+  ASSERT_EQ(agg->num_rows(), 4u);
   // Oracle.
-  std::map<std::string, uint64_t> expect;
+  std::map<std::string, int64_t> expect;
   const char* modes[] = {"MAIL", "AIR", "TRUCK", "SHIP"};
   for (size_t i = 0; i < 40; ++i) expect[modes[i % 4]] += 1 + i % 5;
-  for (size_t g = 0; g < agg->size(); ++g) {
-    auto name = t.DecodeGroupKey("shipmode", agg->keys[g]);
-    ASSERT_TRUE(name.ok());
-    EXPECT_EQ(agg->sums[g], expect[*name]) << *name;
-    EXPECT_EQ(agg->counts[g], 10u);
+  const auto& cols = agg->columns;
+  for (size_t g = 0; g < agg->num_rows(); ++g) {
+    const std::string& name = cols[0].str_values[g];
+    ASSERT_EQ(expect.count(name), 1u) << name;
+    EXPECT_EQ(cols[1].i64_values[g], expect[name]) << name;
+    EXPECT_EQ(cols[2].i64_values[g], 10) << name;
   }
 }
 
-TEST(TableTest, Gathers) {
+TEST(TableTest, GatherStr) {
   Table t = *Table::FromRowStore(MakeItems(10));
   std::vector<oid_t> oids = {1, 3, 9};
   auto modes = t.GatherStr("shipmode", oids);
   ASSERT_TRUE(modes.ok());
   EXPECT_EQ(*modes, (std::vector<std::string>{"AIR", "SHIP", "AIR"}));
-  auto prices = t.GatherF64("price", oids);
-  ASSERT_TRUE(prices.ok());
-  EXPECT_DOUBLE_EQ((*prices)[1], 13.0);
-  auto qty = t.GatherU32("qty", oids);
-  ASSERT_TRUE(qty.ok());
-  EXPECT_EQ((*qty)[0], 2u);
   // Out-of-range OID caught.
   std::vector<oid_t> bad = {99};
   EXPECT_EQ(t.GatherStr("shipmode", bad).status().code(),

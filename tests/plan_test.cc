@@ -54,23 +54,23 @@ Table MakeOrders(size_t n) {
 
 TEST(QueryBuilderTest, UnknownColumnIsNotFound) {
   Table t = *Table::FromRowStore(MakeItems(10));
-  auto plan = QueryBuilder(t).Select(Predicate::RangeU32("nope", 0, 1)).Build();
+  auto plan = QueryBuilder(t).Filter(Between(Col("nope"), 0u, 1u)).Build();
   EXPECT_EQ(plan.status().code(), StatusCode::kNotFound);
 }
 
 TEST(QueryBuilderTest, PredicateTypeMismatch) {
   Table t = *Table::FromRowStore(MakeItems(10));
-  // RangeU32 on an f64 column.
-  auto p1 = QueryBuilder(t).Select(Predicate::RangeU32("price", 0, 1)).Build();
+  // A u32 range on an f64 column.
+  auto p1 = QueryBuilder(t).Filter(Between(Col("price"), 0u, 1u)).Build();
   EXPECT_EQ(p1.status().code(), StatusCode::kInvalidArgument);
-  // RangeF64 on a u32 column.
-  auto p2 = QueryBuilder(t).Select(Predicate::RangeF64("qty", 0, 1)).Build();
+  // An f64 range on a u32 column.
+  auto p2 = QueryBuilder(t).Filter(Between(Col("qty"), 0.0, 1.0)).Build();
   EXPECT_EQ(p2.status().code(), StatusCode::kInvalidArgument);
-  // EqStr on a u32 column.
-  auto p3 = QueryBuilder(t).Select(Predicate::EqStr("qty", "x")).Build();
+  // String equality on a u32 column.
+  auto p3 = QueryBuilder(t).Filter(Col("qty") == "x").Build();
   EXPECT_EQ(p3.status().code(), StatusCode::kInvalidArgument);
-  // EqStr on an encoded string column is fine.
-  auto p4 = QueryBuilder(t).Select(Predicate::EqStr("shipmode", "AIR")).Build();
+  // String equality on an encoded string column is fine.
+  auto p4 = QueryBuilder(t).Filter(Col("shipmode") == "AIR").Build();
   EXPECT_TRUE(p4.ok());
 }
 
@@ -90,7 +90,7 @@ TEST(QueryBuilderTest, AmbiguousColumnAfterSelfJoin) {
   // items x items: every column name collides; referencing one is an error.
   auto plan = QueryBuilder(items)
                   .Join(items, "order", "order")
-                  .Select(Predicate::RangeU32("qty", 0, 5))
+                  .Filter(Between(Col("qty"), 0u, 5u))
                   .Build();
   EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(plan.status().message().find("ambiguous"), std::string::npos);
@@ -120,7 +120,7 @@ TEST(QueryBuilderTest, EmptyProjectAndBadAggregates) {
 TEST(QueryBuilderTest, OutputSchemaAndToString) {
   Table items = *Table::FromRowStore(MakeItems(12));
   auto plan = QueryBuilder(items)
-                  .Select(Predicate::EqStr("shipmode", "MAIL"))
+                  .Filter(Col("shipmode") == "MAIL")
                   .GroupByAgg({"shipmode"}, {Agg::Sum("qty"), Agg::Count()})
                   .OrderBy("sum", true)
                   .Limit(3)
@@ -155,7 +155,7 @@ TEST(PlanExecTest, SelectProjectMatchesBatAlgebra) {
   Table t = *Table::FromRowStore(*rs);
 
   auto plan = QueryBuilder(t)
-                  .Select(Predicate::RangeU32("a", 100, 300))
+                  .Filter(Between(Col("a"), 100u, 300u))
                   .Project({"b"})
                   .Build();
   ASSERT_TRUE(plan.ok());
@@ -186,7 +186,7 @@ TEST(PlanExecTest, SelectJoinAggregateMatchesOracle) {
   // SELECT prio, SUM(qty) FROM items JOIN orders ON order = order_id
   // WHERE shipmode = 'MAIL' GROUP BY prio;
   auto plan = QueryBuilder(items)
-                  .Select(Predicate::EqStr("shipmode", "MAIL"))
+                  .Filter(Col("shipmode") == "MAIL")
                   .Join(orders, "order", "order_id")
                   .GroupByAgg({"prio"}, {Agg::Sum("qty"), Agg::Count()})
                   .Build();
@@ -244,7 +244,7 @@ TEST(PlanExecTest, OrderByLimitOffset) {
 TEST(PlanExecTest, EmptySelectionStillTyped) {
   Table items = *Table::FromRowStore(MakeItems(20));
   auto plan = QueryBuilder(items)
-                  .Select(Predicate::EqStr("shipmode", "PIGEON"))
+                  .Filter(Col("shipmode") == "PIGEON")
                   .Project({"qty", "shipmode"})
                   .Build();
   ASSERT_TRUE(plan.ok());
@@ -264,7 +264,7 @@ TEST(PlanExecTest, PipelinedEqualsMaterialized) {
   Table orders = MakeOrders(kItems / 3 + 1);
   auto build = [&]() {
     auto plan = QueryBuilder(items)
-                    .Select(Predicate::RangeU32("qty", 2, 4))
+                    .Filter(Between(Col("qty"), 2u, 4u))
                     .Join(orders, "order", "order_id")
                     .GroupByAgg({"prio"}, {Agg::Sum("qty"), Agg::Count()})
                     .OrderBy("prio")
@@ -369,7 +369,7 @@ TEST(PlannerTest, InnerSelectionChangesJoinPlan) {
   auto unfiltered = QueryBuilder(fact).Join(big, "order_id", "id").Build();
   ASSERT_TRUE(unfiltered.ok());
   QueryBuilder inner(big);
-  inner.Select(Predicate::RangeU32("id", 0, 999));
+  inner.Filter(Between(Col("id"), 0u, 999u));
   auto filtered =
       QueryBuilder(fact).Join(std::move(inner), "order_id", "id").Build();
   ASSERT_TRUE(filtered.ok());
@@ -438,7 +438,7 @@ TEST(PlanExecTest, LazyI64ColumnsMaterialize) {
   }
   Table t = *Table::FromRowStore(*rs);
   auto plan = QueryBuilder(t)
-                  .Select(Predicate::RangeU32("k", 2, 4))
+                  .Filter(Between(Col("k"), 2u, 4u))
                   .OrderBy("big", /*descending=*/true)
                   .Project({"big"})
                   .Build();
@@ -496,7 +496,7 @@ TEST(ParallelExecTest, SelectAndJoinAreByteIdenticalAtAnyParallelism) {
   Table orders = MakeOrders(kItems / 3 + 1);
   auto build = [&]() {
     auto plan = QueryBuilder(items)
-                    .Select(Predicate::RangeU32("qty", 2, 4))
+                    .Filter(Between(Col("qty"), 2u, 4u))
                     .Join(orders, "order", "order_id")
                     .Project({"qty", "prio"})
                     .Build();
@@ -530,7 +530,7 @@ TEST(ParallelExecTest, GroupByAndOrderByMatchSerialModuloRowOrder) {
   Table orders = MakeOrders(kItems / 3 + 1);
   auto run = [&](size_t par, size_t chunk) {
     auto plan = QueryBuilder(items)
-                    .Select(Predicate::EqStr("shipmode", "MAIL"))
+                    .Filter(Col("shipmode") == "MAIL")
                     .Join(orders, "order", "order_id")
                     .GroupByAgg({"prio"}, {Agg::Sum("qty"), Agg::Count()})
                     .Build();
@@ -577,7 +577,7 @@ TEST(ParallelExecTest, EmptyAndSingleRowInputs) {
     Table orders = MakeOrders(5);
     for (size_t par : {1u, 2u, 8u}) {
       auto plan = QueryBuilder(items)
-                      .Select(Predicate::RangeU32("qty", 0, 100))
+                      .Filter(Between(Col("qty"), 0u, 100u))
                       .Join(orders, "order", "order_id")
                       .GroupByAgg({"prio"}, {Agg::Sum("qty"), Agg::Count()})
                       .Build();

@@ -80,9 +80,13 @@ TEST(EncodingFallbackTest, HighCardinalityStringsStayRaw) {
   auto table = Table::FromRowStore(*rs);
   ASSERT_TRUE(table.ok());
   EXPECT_FALSE(table->is_encoded(0));
-  auto sel = table->SelectEqStr("name", "n69999");
-  ASSERT_TRUE(sel.ok());
-  EXPECT_EQ(*sel, (std::vector<oid_t>{69999}));
+  // Names are unique, so exactly one row (row 69999) matches.
+  auto plan = QueryBuilder(*table).Filter(Col("name") == "n69999").Build();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto sel = Execute(*plan);
+  ASSERT_TRUE(sel.ok()) << sel.status().ToString();
+  ASSERT_EQ(sel->num_columns(), 1u);
+  EXPECT_EQ(sel->columns[0].str_values, (std::vector<std::string>{"n69999"}));
 }
 
 TEST(DsmRoundTripTest, AllFieldTypes) {
