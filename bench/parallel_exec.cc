@@ -4,7 +4,11 @@
 //
 // With --json=PATH the results are also written as BENCH_ci.json for the CI
 // artifact (see ci.sh). Speedups are reported, not asserted: on a 1-core
-// runner parallel == serial and that is fine.
+// runner parallel == serial and that is fine. Whether they mean anything is
+// measured: the parallel numbers count only when N threads read memory at
+// >= 1.3x the 1-thread sequential bandwidth. What is asserted is the join's
+// task count: the run exits non-zero when any join dispatched more than
+// probe chunks x workers x 8 partition tasks.
 //
 //   --full        4M-row fact table (default 1M)
 //   --json=PATH   write the machine-readable results to PATH
@@ -41,6 +45,31 @@ double MinOfRunsMs(int reps, const std::function<void()>& fn) {
   return best;
 }
 
+/// Sequential-read bandwidth in GB/s: `threads` threads each sum their own
+/// contiguous slice of `buf` (best of `reps`).
+double SeqReadGbps(const std::vector<uint64_t>& buf, size_t threads,
+                   int reps) {
+  std::vector<uint64_t> sums(threads);
+  double ms = MinOfRunsMs(reps, [&] {
+    std::vector<std::thread> workers;
+    for (size_t t = 0; t < threads; ++t) {
+      workers.emplace_back([&, t] {
+        size_t lo = buf.size() * t / threads;
+        size_t hi = buf.size() * (t + 1) / threads;
+        uint64_t sum = 0;
+        for (size_t i = lo; i < hi; ++i) sum += buf[i];
+        sums[t] = sum;
+      });
+    }
+    for (std::thread& w : workers) w.join();
+  });
+  static volatile uint64_t sink = 0;
+  for (uint64_t s : sums) sink = sink + s;
+  return ms > 0 ? static_cast<double>(buf.size() * sizeof(uint64_t)) /
+                      (ms * 1e6)
+                : 0;
+}
+
 struct PathTiming {
   const char* name;
   double serial_ms = 0;
@@ -71,18 +100,30 @@ int main(int argc, char** argv) {
   const size_t kDim = kFact / 4;
   const size_t kWorkers = ThreadPool::HardwareThreads();
   const int kReps = 3;
-  // On a 1-thread host "parallel" is the same execution plus scheduling
-  // overhead: ≈1.0x is expected there, NOT a scaling regression — and a
-  // real regression would be invisible. The JSON carries this flag so
-  // downstream speedup checks skip rather than silently pass/fail.
-  const bool speedups_meaningful = kWorkers > 1;
+  // The operators here are bandwidth-bound, so parallel speedups mean
+  // something only where more threads move more bytes: on a 1-thread host,
+  // or one whose memory does not scale past a core, "parallel" is the same
+  // execution plus scheduling overhead and ≈1.0x is expected, NOT a scaling
+  // regression. The JSON carries this measured flag so downstream speedup
+  // checks skip rather than silently pass/fail.
+  double read_gbps_1 = 0, read_gbps_n = 0;
+  {
+    std::vector<uint64_t> buf(size_t{16} << 20);  // 128 MB, >> any LLC
+    for (size_t i = 0; i < buf.size(); ++i) buf[i] = i;
+    read_gbps_1 = SeqReadGbps(buf, 1, kReps);
+    read_gbps_n = SeqReadGbps(buf, kWorkers, kReps);
+  }
+  const bool speedups_meaningful = read_gbps_n >= 1.3 * read_gbps_1;
 
   std::printf("== parallel_exec: morsel-parallel operator speedups ==\n");
   std::printf("fact=%zu rows, dim=%zu rows, %zu hardware threads\n", kFact,
               kDim, kWorkers);
+  std::printf("sequential read: %.2f GB/s on 1 thread, %.2f GB/s on %zu\n",
+              read_gbps_1, read_gbps_n, kWorkers);
   if (!speedups_meaningful) {
-    std::printf("NOTE: hardware_concurrency=1 — parallel speedups below are "
-                "not meaningful on this host\n");
+    std::printf("NOTE: %zu threads read < 1.3x the 1-thread bandwidth — "
+                "parallel speedups below are not meaningful on this host\n",
+                kWorkers);
   }
   std::printf("\n");
 
@@ -201,6 +242,30 @@ int main(int argc, char** argv) {
                 paths[i].parallel_ms, paths[i].speedup());
   }
 
+  // Task-count gate: the partitioned probe runs contiguous ranges of probe
+  // tuples, about workers x 4 per probe chunk; per-cluster tasks (hundreds
+  // of thousands per query) are a regression this run fails on.
+  int task_violations = 0;
+  auto check_join_tasks = [&](const char* name, const LogicalPlan& plan) {
+    PlannerOptions opts;
+    opts.exec.parallelism = kWorkers;
+    Planner planner(opts);
+    auto physical = planner.Lower(plan);
+    CCDB_CHECK(physical.ok());
+    CCDB_CHECK(physical->Execute().ok());
+    for (const JoinNodeInfo& j : physical->joins()) {
+      uint64_t bound = j.probe_chunks * j.parallelism * 8;
+      bool ok = j.partition_tasks <= bound;
+      std::printf("%-20s join %s = %s: %llu partition tasks over %llu probe "
+                  "chunks (bound %llu) %s\n",
+                  name, j.left_key.c_str(), j.right_key.c_str(),
+                  (unsigned long long)j.partition_tasks,
+                  (unsigned long long)j.probe_chunks,
+                  (unsigned long long)bound, ok ? "ok" : "EXCEEDED");
+      if (!ok) ++task_violations;
+    }
+  };
+
   // Planner accuracy: a 3-table join chain written in the suboptimal order
   // (big non-selective inner first, selective small inner last). The
   // statistics-driven planner must reorder it (visible in ExplainJoins)
@@ -248,6 +313,9 @@ int main(int argc, char** argv) {
     }
     return total;
   };
+  std::printf("\njoin task counts at %zu workers:\n", kWorkers);
+  check_join_tasks("partitioned_join", join_query());
+  check_join_tasks("join_chain", chain_query());
   double unreordered_ms = time_chain(false);
   double reordered_ms = time_chain(true);
   double pred_unreordered_ms = predicted_join_ms(false);
@@ -324,10 +392,14 @@ int main(int argc, char** argv) {
     std::fprintf(f, "{\n  \"fact_rows\": %zu,\n  \"dim_rows\": %zu,\n"
                  "  \"hardware_threads\": %zu,\n"
                  "  \"hardware_concurrency\": %u,\n"
-                 "  \"parallel_speedups_meaningful\": %s,\n  \"paths\": {\n",
+                 "  \"seq_read_gbps_1\": %.3f,\n"
+                 "  \"seq_read_gbps_n\": %.3f,\n"
+                 "  \"parallel_speedups_meaningful\": %s,\n"
+                 "  \"join_task_bound_violations\": %d,\n  \"paths\": {\n",
                  kFact, kDim, kWorkers,
-                 std::thread::hardware_concurrency(),
-                 speedups_meaningful ? "true" : "false");
+                 std::thread::hardware_concurrency(), read_gbps_1,
+                 read_gbps_n, speedups_meaningful ? "true" : "false",
+                 task_violations);
     for (size_t i = 0; i < kPaths; ++i) {
       std::fprintf(f,
                    "    \"%s\": {\"serial_ms\": %.3f, \"parallel_ms\": %.3f, "
@@ -361,6 +433,13 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
     std::printf("\nwrote %s\n", json_path.c_str());
+  }
+  if (task_violations > 0) {
+    std::fprintf(stderr,
+                 "FAIL: %d join(s) exceeded probe chunks x workers x 8 "
+                 "partition tasks\n",
+                 task_violations);
+    return 1;
   }
   return 0;
 }

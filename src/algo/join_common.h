@@ -52,8 +52,8 @@ struct JoinStats {
 /// Appends `b` to `out`, routing the write through the access policy so the
 /// simulator sees the (sequential) result-store traffic. DirectMemory pays
 /// nothing beyond the push_back.
-template <class Mem>
-CCDB_ALWAYS_INLINE void EmitResult(std::vector<Bun>& out, Bun b, Mem& mem) {
+template <class Mem, class Vec>
+CCDB_ALWAYS_INLINE void EmitResult(Vec& out, Bun b, Mem& mem) {
   out.push_back(b);
   if constexpr (!std::is_same_v<std::decay_t<Mem>, DirectMemory>) {
     mem.Store(&out.back(), b);

@@ -163,6 +163,21 @@ StatusOr<ClusteredRelation> RadixCluster(std::span<const Bun> input,
   return out;
 }
 
+/// One clustering pass of `input` into `out` (same size) on the `bits`
+/// radix bits that start `shift` bits up the hash: `out` is ordered on
+/// (Hash(tail) >> shift) & LowMask32(bits), stable within each cluster.
+/// With shift = B - bits this clusters on the top bits of a B-bit radix
+/// value, so cluster c holds exactly the tuples of B-bit clusters
+/// [c << shift, (c + 1) << shift).
+template <class Mem, class HashFn = IdentityHash>
+void RadixClusterPass(std::span<const Bun> input, std::span<Bun> out,
+                      int shift, int bits, Mem& mem) {
+  CCDB_CHECK(out.size() == input.size());
+  std::vector<uint64_t> whole = {0, input.size()}, bounds;
+  internal::ClusterPass<Mem, HashFn>(input.data(), out.data(), whole, shift,
+                                     bits, mem, &bounds);
+}
+
 /// Cluster start offsets (H+1 entries, H = 2^bits) recovered by scanning the
 /// radix bits, as the paper notes is always possible. O(N + H).
 template <class HashFn = IdentityHash>

@@ -116,12 +116,13 @@ struct ExecContext {
 
   bool parallel() const { return parallelism > 1 && pool != nullptr; }
 
-  /// Morsel count for an n-row input: enough to busy `parallelism` workers,
-  /// but never morsels smaller than `min_rows`.
-  size_t ShardsFor(size_t n, size_t min_rows) const {
+  /// Morsel count for an n-row input: `per_worker` morsels for each of the
+  /// `parallelism` workers, but never morsels smaller than `min_rows`.
+  size_t ShardsFor(size_t n, size_t min_rows, size_t per_worker = 1) const {
     if (!parallel() || n < 2 * min_rows) return 1;
     size_t by_rows = n / min_rows;
-    return by_rows < parallelism ? by_rows : parallelism;
+    size_t wanted = parallelism * per_worker;
+    return by_rows < wanted ? by_rows : wanted;
   }
 };
 

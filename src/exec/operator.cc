@@ -20,8 +20,8 @@ namespace {
 /// the memory traffic it parallelizes.
 constexpr size_t kMorselRows = 4096;
 
-size_t CtxShards(const ExecContext* ctx, size_t n) {
-  return ctx == nullptr ? 1 : ctx->ShardsFor(n, kMorselRows);
+size_t CtxShards(const ExecContext* ctx, size_t n, size_t per_worker = 1) {
+  return ctx == nullptr ? 1 : ctx->ShardsFor(n, kMorselRows, per_worker);
 }
 
 ThreadPool* CtxPool(const ExecContext* ctx) {
@@ -1205,6 +1205,7 @@ Status JoinOp::Open() {
     info_->stats.cluster_right_ms = prepare_ms;
     info_->inner_cluster_runs = 1;
     info_->partition_tasks = 0;
+    info_->probe_chunks = 0;
     info_->parallelism = CtxParallelism(ctx_);
   }
   return Status::Ok();
@@ -1226,25 +1227,13 @@ void JoinOp::Close() {
 
 namespace {
 
-/// Concatenates per-task result vectors in task order (deterministic join
-/// output regardless of which worker ran which task). The per-task parts
-/// are arena-backed: every start is cache-line aligned, so no two tasks'
-/// output buffers ever share a line.
-std::vector<Bun> ConcatBuns(std::vector<BunVec> parts) {
-  size_t total = 0;
-  for (const auto& p : parts) total += p.size();
-  std::vector<Bun> out;
-  out.reserve(total);
-  for (const auto& p : parts) out.insert(out.end(), p.begin(), p.end());
-  return out;
-}
+/// Probe ranges per worker: enough slack that one slow range (a heavy inner
+/// cluster, a descheduled worker) does not idle the others, few enough that
+/// dispatch stays negligible next to the probe work it carries.
+constexpr size_t kRangesPerWorker = 4;
 
-}  // namespace
-
-namespace {
-
-/// Per-chunk match reserve: scale the planner's whole-join output estimate
-/// down to this chunk's share of the probe side (clamped to 4x the chunk so
+/// Per-range match reserve: scale the planner's whole-join output estimate
+/// down to this range's share of the probe side (clamped to 4x the range so
 /// a bad overestimate cannot balloon the allocation); without an estimate,
 /// the historical min(probe, inner) default.
 size_t MatchReserveRows(size_t probe_rows, size_t inner_rows,
@@ -1261,95 +1250,78 @@ size_t MatchReserveRows(size_t probe_rows, size_t inner_rows,
 
 }  // namespace
 
-StatusOr<std::vector<Bun>> JoinOp::ProbeSimpleHash(
+StatusOr<JoinOp::MatchParts> JoinOp::ProbeRanges(
+    size_t n, const std::function<Status(size_t, size_t, BunVec*)>& body)
+    const {
+  // No probe tuples, no ranges: a chunk filtered to nothing dispatches (and
+  // counts) no task.
+  if (n == 0) return MatchParts{};
+  size_t ranges = CtxShards(ctx_, n, kRangesPerWorker);
+  MatchParts parts(ranges);
+  CCDB_RETURN_IF_ERROR(ExecParallelFor(ctx_, ranges, [&](size_t r) -> Status {
+    size_t lo = n * r / ranges;
+    size_t hi = n * (r + 1) / ranges;
+    parts[r].reserve(MatchReserveRows(hi - lo, inner_buns_.size(),
+                                      est_result_rows_, est_probe_rows_));
+    return body(lo, hi, &parts[r]);
+  }));
+  if (info_ != nullptr) info_->partition_tasks += ranges;
+  return parts;
+}
+
+StatusOr<JoinOp::MatchParts> JoinOp::ProbeSimpleHash(
     std::span<const Bun> probe) const {
-  size_t shards = CtxShards(ctx_, probe.size());
-  if (shards <= 1) {
-    std::vector<Bun> out;
-    out.reserve(MatchReserveRows(probe.size(), inner_buns_.size(),
-                                 est_result_rows_, est_probe_rows_));
-    DirectMemory mem;
-    for (const Bun& lt : probe) {
-      inner_table_->Probe(lt, mem, [&](Bun rt) {
-        out.push_back({lt.head, rt.head});
-      });
-    }
-    return out;
-  }
-  std::vector<BunVec> parts(shards);
-  CCDB_RETURN_IF_ERROR(ExecParallelFor(ctx_, shards, [&](size_t s) -> Status {
-    size_t lo = probe.size() * s / shards;
-    size_t hi = probe.size() * (s + 1) / shards;
+  return ProbeRanges(probe.size(), [&](size_t lo, size_t hi,
+                                       BunVec* out) -> Status {
     DirectMemory mem;
     for (size_t i = lo; i < hi; ++i) {
       Bun lt = probe[i];
       inner_table_->Probe(lt, mem, [&](Bun rt) {
-        parts[s].push_back({lt.head, rt.head});
+        out->push_back({lt.head, rt.head});
       });
     }
     return Status::Ok();
-  }));
-  return ConcatBuns(std::move(parts));
+  });
 }
 
-StatusOr<std::vector<Bun>> JoinOp::JoinClusteredChunk(
-    const ClusteredRelation& cl, uint64_t* tasks) {
-  // Partition tasks: one per non-empty probe cluster whose radix value has
-  // inner tuples — the independent units the pool executes. Probe cluster
-  // boundaries are rediscovered from the radix bits (as the paper notes is
-  // always possible); inner boundaries come from the bounds built at
-  // Open().
-  struct Part {
-    size_t l_lo, l_hi;
-    uint64_t r_lo, r_hi;
-  };
-  uint32_t mask = LowMask32(plan_.bits);
-  size_t n = cl.tuples.size();
-  std::vector<Part> parts;
-  size_t i = 0;
-  while (i < n) {
-    uint32_t h = IdentityHash::Hash(cl.tuples[i].tail) & mask;
-    size_t j = i + 1;
-    while (j < n && (IdentityHash::Hash(cl.tuples[j].tail) & mask) == h) ++j;
-    uint64_t r_lo = inner_bounds_[h], r_hi = inner_bounds_[h + 1];
-    if (r_hi > r_lo) parts.push_back({i, j, r_lo, r_hi});
-    i = j;
-  }
-  if (tasks != nullptr) *tasks += parts.size();
-
-  std::vector<BunVec> results(parts.size());
+StatusOr<JoinOp::MatchParts> JoinOp::JoinClusteredChunk(
+    std::span<const Bun> probe) const {
+  // The probe is clustered on the top bits of B only, so each probe tuple
+  // looks up its own B-bit inner cluster (bounds from Open()). Those
+  // lookups stay inside the contiguous run of inner clusters its probe
+  // cluster maps to, which is what keeps them cache-resident. Ranges cut
+  // the chunk by probe-tuple position, so they are balanced however skewed
+  // the clusters are.
+  const uint32_t mask = LowMask32(plan_.bits);
   const bool radix = plan_.use_radix_join;
-  CCDB_RETURN_IF_ERROR(ExecParallelFor(
-      ctx_, parts.size(), [&](size_t p) -> Status {
-        const Part& pt = parts[p];
-        BunVec& out = results[p];
-        if (radix) {
-          // Radix-join: clusters are tiny (~4-8 tuples); nested loop.
-          for (size_t a = pt.l_lo; a < pt.l_hi; ++a) {
-            Bun lt = cl.tuples[a];
-            for (uint64_t b = pt.r_lo; b < pt.r_hi; ++b) {
-              const Bun& rt = inner_clustered_.tuples[b];
-              if (lt.tail == rt.tail) out.push_back({lt.head, rt.head});
-            }
-          }
-          return Status::Ok();
+  return ProbeRanges(probe.size(), [&](size_t lo, size_t hi,
+                                       BunVec* out) -> Status {
+    DirectMemory mem;
+    for (size_t a = lo; a < hi; ++a) {
+      Bun lt = probe[a];
+      uint32_t h = IdentityHash::Hash(lt.tail) & mask;
+      uint64_t r_lo = inner_bounds_[h], r_hi = inner_bounds_[h + 1];
+      if (r_hi == r_lo) continue;
+      if (radix) {
+        // Radix-join: B was chosen so inner clusters hold a few tuples;
+        // nested loop.
+        for (uint64_t b = r_lo; b < r_hi; ++b) {
+          const Bun& rt = inner_clustered_.tuples[b];
+          if (lt.tail == rt.tail) out->push_back({lt.head, rt.head});
         }
-        // Partitioned hash-join: probe the partition's prebuilt table.
-        uint32_t h = IdentityHash::Hash(cl.tuples[pt.l_lo].tail) & mask;
-        const InnerHashTable* table = inner_tables_[h].get();
-        if (table == nullptr) {
-          return Status::Internal("missing partition hash table");
-        }
-        DirectMemory mem;
-        for (size_t a = pt.l_lo; a < pt.l_hi; ++a) {
-          Bun lt = cl.tuples[a];
-          table->Probe(lt, mem, [&](Bun rt) {
-            out.push_back({lt.head, rt.head});
-          });
-        }
-        return Status::Ok();
-      }));
-  return ConcatBuns(std::move(results));
+        continue;
+      }
+      // Partitioned hash-join: probe the partition's prebuilt table.
+      const InnerHashTable* table = inner_tables_[h].get();
+      if (table == nullptr) {
+        return Status::Internal("missing partition hash table");
+      }
+      table->Probe(lt, mem, [&](Bun rt) {
+        out->push_back({lt.head, rt.head});
+      });
+    }
+    return Status::Ok();
+  });
 }
 
 StatusOr<bool> JoinOp::Next(Chunk* out) {
@@ -1363,7 +1335,7 @@ StatusOr<bool> JoinOp::Next(Chunk* out) {
     probe_buns[i] = {static_cast<oid_t>(i), keys[i]};
   }
   JoinStats stats;
-  std::vector<Bun> matches;
+  MatchParts matches;
   switch (plan_.strategy) {
     case JoinStrategy::kSortMerge: {
       DirectMemory mem;
@@ -1373,9 +1345,10 @@ StatusOr<bool> JoinOp::Next(Chunk* out) {
       QuickSortByTail(std::span<Bun>(probe_buns), mem);
       stats.cluster_left_ms = t_sort.ElapsedMillis();
       WallTimer t_join;
-      matches.reserve(MatchReserveRows(probe_buns.size(), inner_sorted_.size(),
-                                       est_result_rows_, est_probe_rows_));
-      MergeSortedByTail<DirectMemory>(probe_buns, inner_sorted_, mem, matches);
+      BunVec& merged = matches.emplace_back();
+      merged.reserve(MatchReserveRows(probe_buns.size(), inner_sorted_.size(),
+                                      est_result_rows_, est_probe_rows_));
+      MergeSortedByTail<DirectMemory>(probe_buns, inner_sorted_, mem, merged);
       stats.join_ms = t_join.ElapsedMillis();
       break;
     }
@@ -1386,41 +1359,44 @@ StatusOr<bool> JoinOp::Next(Chunk* out) {
       break;
     }
     default: {
-      // Only the cache-sized probe chunk is clustered per Next(); the
-      // inner stays clustered from Open().
+      // Only the cache-sized probe chunk is clustered per Next(), in one
+      // pass on the top ProbeClusterBits of B; the inner stays clustered on
+      // all B bits from Open().
       DirectMemory mem;
-      RadixClusterOptions opt{
-          .bits = plan_.bits, .passes = plan_.passes, .bits_per_pass = {}};
-      RadixClusterStats cs;
-      CCDB_ASSIGN_OR_RETURN(
-          ClusteredRelation cl,
-          (RadixCluster<DirectMemory, IdentityHash>(probe_buns, opt, mem,
-                                                    &cs)));
-      stats.cluster_left_ms = cs.total_ms;
+      int bits = ProbeClusterBits(plan_, probe_buns.size());
+      BunVec clustered(probe_buns.size());
+      WallTimer t_cluster;
+      RadixClusterPass<DirectMemory, IdentityHash>(
+          probe_buns, clustered, plan_.bits - bits, bits, mem);
+      stats.cluster_left_ms = t_cluster.ElapsedMillis();
       WallTimer t;
-      uint64_t tasks = 0;
-      CCDB_ASSIGN_OR_RETURN(matches, JoinClusteredChunk(cl, &tasks));
+      CCDB_ASSIGN_OR_RETURN(matches, JoinClusteredChunk(clustered));
       stats.join_ms = t.ElapsedMillis();
-      if (info_ != nullptr) info_->partition_tasks += tasks;
       break;
     }
   }
-  // The match list [probe position, inner position] becomes an output
-  // chunk according to the join type; the prepared inner and probe phases
-  // above are identical for all four types.
+  // The match list [probe position, inner position] — the parts above, in
+  // order — becomes an output chunk according to the join type; the
+  // prepared inner and probe phases above are identical for all four types.
+  size_t num_matches = 0;
+  for (const BunVec& part : matches) num_matches += part.size();
   switch (join_type_) {
     case JoinType::kInner: {
       // Take each side through its positions, then zip the column sets.
       // Both sides stay lazy — the join produced nothing but two candidate
       // lists.
-      std::vector<uint32_t> lpos(matches.size()), rpos(matches.size());
-      for (size_t i = 0; i < matches.size(); ++i) {
-        lpos[i] = matches[i].head;
-        rpos[i] = matches[i].tail;
+      std::vector<uint32_t> lpos, rpos;
+      lpos.reserve(num_matches);
+      rpos.reserve(num_matches);
+      for (const BunVec& part : matches) {
+        for (const Bun& m : part) {
+          lpos.push_back(m.head);
+          rpos.push_back(m.tail);
+        }
       }
       CCDB_ASSIGN_OR_RETURN(Chunk lpart, probe.Take(lpos));
       CCDB_ASSIGN_OR_RETURN(Chunk rpart, inner_.Take(rpos));
-      out->rows = matches.size();
+      out->rows = num_matches;
       out->cands = std::move(lpart.cands);
       size_t shift = out->cands.size();
       for (Candidates& cd : rpart.cands) out->cands.push_back(std::move(cd));
@@ -1436,7 +1412,9 @@ StatusOr<bool> JoinOp::Next(Chunk* out) {
       // A filter on the probe side: emit probe rows with (semi) / without
       // (anti) a match, in probe order — each row at most once.
       std::vector<uint8_t> matched(probe.rows, 0);
-      for (const Bun& m : matches) matched[m.head] = 1;
+      for (const BunVec& part : matches) {
+        for (const Bun& m : part) matched[m.head] = 1;
+      }
       const uint8_t want = join_type_ == JoinType::kSemi ? 1 : 0;
       std::vector<uint32_t> positions;
       for (size_t i = 0; i < probe.rows; ++i) {
@@ -1446,30 +1424,31 @@ StatusOr<bool> JoinOp::Next(Chunk* out) {
       break;
     }
     case JoinType::kLeftOuter: {
-      // Restore probe order (matches arrive in radix order, which is
-      // deterministic, so this stable sort is too) and interleave unmatched
-      // probe rows with a null right side.
-      std::stable_sort(matches.begin(), matches.end(),
-                       [](const Bun& a, const Bun& b) {
-                         return a.head < b.head;
-                       });
-      std::vector<uint32_t> lpos, rpos;
-      std::vector<uint8_t> valid;
-      lpos.reserve(matches.size());
-      size_t m = 0;
+      // Restore probe order with a stable counting scatter on the probe
+      // position (matches arrive in radix order, which is deterministic, so
+      // the scatter is too), reserving one null slot per unmatched probe
+      // row.
+      std::vector<uint32_t> start(probe.rows + 1, 0);
+      for (const BunVec& part : matches) {
+        for (const Bun& m : part) ++start[m.head + 1];
+      }
       for (size_t i = 0; i < probe.rows; ++i) {
-        bool any = false;
-        while (m < matches.size() && matches[m].head == i) {
-          lpos.push_back(static_cast<uint32_t>(i));
-          rpos.push_back(matches[m].tail);
-          valid.push_back(1);
-          any = true;
-          ++m;
+        uint32_t slots = std::max<uint32_t>(start[i + 1], 1);
+        start[i + 1] = start[i] + slots;
+      }
+      std::vector<uint32_t> lpos(start[probe.rows]), rpos(start[probe.rows]);
+      std::vector<uint8_t> valid(start[probe.rows], 0);
+      for (size_t i = 0; i < probe.rows; ++i) {
+        for (uint32_t k = start[i]; k < start[i + 1]; ++k) {
+          lpos[k] = static_cast<uint32_t>(i);
         }
-        if (!any) {
-          lpos.push_back(static_cast<uint32_t>(i));
-          rpos.push_back(0);
-          valid.push_back(0);
+      }
+      std::vector<uint32_t> next(start.begin(), start.end() - 1);
+      for (const BunVec& part : matches) {
+        for (const Bun& m : part) {
+          uint32_t k = next[m.head]++;
+          rpos[k] = m.tail;
+          valid[k] = 1;
         }
       }
       CCDB_ASSIGN_OR_RETURN(Chunk lpart, probe.Take(lpos));
@@ -1484,6 +1463,7 @@ StatusOr<bool> JoinOp::Next(Chunk* out) {
   }
   stats.result_count = out->rows;
   if (info_ != nullptr) {
+    ++info_->probe_chunks;
     info_->stats.cluster_left_ms += stats.cluster_left_ms;
     info_->stats.cluster_right_ms += stats.cluster_right_ms;
     info_->stats.join_ms += stats.join_ms;

@@ -10,6 +10,7 @@
 #ifndef CCDB_EXEC_OPERATOR_H_
 #define CCDB_EXEC_OPERATOR_H_
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -144,9 +145,14 @@ struct JoinNodeInfo {
   /// hash-table-built. Always 1 after Open(): the inner is prepared once
   /// and reused across every probe chunk.
   int inner_cluster_runs = 0;
-  /// Radix-partition probe tasks dispatched across all probe chunks — the
-  /// independent parallel units of the partitioned join.
+  /// Probe range tasks dispatched across all probe chunks — the
+  /// independent parallel units of the hash and partitioned joins. Each is
+  /// a contiguous range of the chunk's probe tuples (in radix order when
+  /// clustered), about parallelism x 4 per chunk, one when serial.
   uint64_t partition_tasks = 0;
+  /// Probe chunks the join consumed (empty ones included): the bound on
+  /// partition_tasks is probe_chunks x parallelism x 8.
+  uint64_t probe_chunks = 0;
   /// Worker budget the join ran with (ExecContext::parallelism).
   size_t parallelism = 1;
 };
@@ -240,14 +246,15 @@ StatusOr<std::vector<uint32_t>> NarrowFilterPositions(
 /// and prepares the inner side exactly once for that plan: radix-clustered
 /// (plus per-partition hash tables for the phash family), sorted, or
 /// hash-table-built — never redone per probe chunk. Next() probes with one
-/// outer chunk at a time; each radix partition is an independent task run
-/// on the ExecContext's pool, and partition results concatenate in radix
-/// order so join output is byte-identical at any parallelism.
+/// outer chunk at a time, split into about parallelism x 4 contiguous
+/// ranges of (clustered) probe tuples run on the ExecContext's pool; range
+/// results are read in range order, so join output is byte-identical at
+/// any parallelism.
 ///
 /// All four JoinTypes probe the same prepared-once inner structures; they
 /// differ only in how the per-chunk match list becomes an output chunk:
-///  - kInner: matching pairs in radix order; both sides stay lazy — the
-///    join only produces two candidate lists.
+///  - kInner: matching pairs in the probe chunk's cluster order; both sides
+///    stay lazy — the join only produces two candidate lists.
 ///  - kSemi / kAnti: probe rows with / without a match, in probe order;
 ///    only left columns (and candidate lists) survive.
 ///  - kLeftOuter: matches sorted to probe order with unmatched probe rows
@@ -270,13 +277,23 @@ class JoinOp : public Operator {
  private:
   using InnerHashTable = BucketChainedHashTable<DirectMemory, IdentityHash>;
 
-  /// Joins one clustered probe chunk against the prepared inner: one task
-  /// per matching radix-partition pair, concatenated in radix order.
-  /// `tasks` accumulates the number of partition tasks dispatched.
-  StatusOr<std::vector<Bun>> JoinClusteredChunk(const ClusteredRelation& cl,
-                                                uint64_t* tasks);
-  /// Probes the single Open()-built table with one chunk, morsel-parallel.
-  StatusOr<std::vector<Bun>> ProbeSimpleHash(std::span<const Bun> probe) const;
+  /// A chunk's [probe position, inner position] match list, as per-range
+  /// parts: their concatenation in order is the list.
+  using MatchParts = std::vector<BunVec>;
+
+  /// Runs `body(lo, hi, out)` over contiguous ranges of the n probe tuples
+  /// on the pool — about parallelism x 4 ranges, none under a morsel — each
+  /// appending its matches to its own part. Counts the ranges into
+  /// `info_->partition_tasks`.
+  StatusOr<MatchParts> ProbeRanges(
+      size_t n,
+      const std::function<Status(size_t, size_t, BunVec*)>& body) const;
+  /// Joins one probe chunk, clustered on the top ProbeClusterBits of B,
+  /// against the B-bit clustered inner, over ProbeRanges; matches come out
+  /// in the chunk's cluster order.
+  StatusOr<MatchParts> JoinClusteredChunk(std::span<const Bun> probe) const;
+  /// Probes the single Open()-built table with one chunk, over ProbeRanges.
+  StatusOr<MatchParts> ProbeSimpleHash(std::span<const Bun> probe) const;
 
   /// Right-side columns for a left-outer output chunk: inner row `rpos[i]`
   /// when `valid[i]`, the type's null surrogate otherwise. Always owned

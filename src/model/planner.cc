@@ -164,8 +164,10 @@ ModelPrediction JoinModelPrediction(const CostModel& cm, const JoinPlan& plan,
       // clustering cost.
       return cm.PhashJoinPhaseAsym(0, c_inner, c_probe);
     default: {
+      // The probe side is clustered in one pass on the top bits of B
+      // (ProbeClusterBits, what JoinOp runs per probe chunk).
       ModelPrediction p = cm.Cluster(plan.passes, plan.bits, c_inner);
-      p += cm.Cluster(plan.passes, plan.bits, c_probe);
+      p += cm.Cluster(1, ProbeClusterBits(plan, c_probe), c_probe);
       p += plan.use_radix_join
                ? cm.RadixJoinPhaseAsym(plan.bits, c_inner, c_probe)
                : cm.PhashJoinPhaseAsym(plan.bits, c_inner, c_probe);
@@ -813,13 +815,14 @@ StatusOr<QueryResult> PhysicalPlan::Execute() {
 
 std::string PhysicalPlan::ExplainJoins() const {
   std::string out;
-  char line[384];
+  char line[512];
   for (const JoinNodeInfo& j : *joins_) {
     std::snprintf(
         line, sizeof(line),
         "join [%s] %s = %s: est C=%llu, inner C=%llu -> %s%s, B=%d "
         "(%d passes), model %.2f ms, est result %llu, result %llu, "
-        "%llu partition tasks on %zu workers, inner clustered %dx%s\n",
+        "%llu partition tasks over %llu probe chunks on %zu workers, "
+        "inner clustered %dx%s\n",
         JoinTypeName(j.join_type), j.left_key.c_str(), j.right_key.c_str(),
         (unsigned long long)j.estimated_inner_cardinality,
         (unsigned long long)j.inner_cardinality,
@@ -830,7 +833,8 @@ std::string PhysicalPlan::ExplainJoins() const {
         j.plan.bits, j.plan.passes, j.plan.predicted_ms,
         (unsigned long long)j.estimated_result_rows,
         (unsigned long long)j.stats.result_count,
-        (unsigned long long)j.partition_tasks, j.parallelism,
+        (unsigned long long)j.partition_tasks,
+        (unsigned long long)j.probe_chunks, j.parallelism,
         j.inner_cluster_runs, j.reordered ? " (reordered)" : "");
     out += line;
   }

@@ -1,5 +1,6 @@
 #include "model/strategy.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/bits.h"
@@ -102,6 +103,12 @@ JoinPlan PlanJoin(JoinStrategy s, uint64_t c, const MachineProfile& profile) {
       plan.predicted_ms = model.Millis(model.TotalPhashJoin(plan.bits, c));
       return plan;
   }
+}
+
+int ProbeClusterBits(const JoinPlan& plan, uint64_t rows) {
+  if (plan.bits <= 0 || rows <= 1) return 0;
+  int first_pass = (plan.bits + plan.passes - 1) / plan.passes;
+  return std::min(first_pass, Log2Floor(rows));
 }
 
 }  // namespace ccdb

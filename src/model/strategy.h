@@ -44,6 +44,14 @@ int StrategyBits(JoinStrategy s, uint64_t c, const MachineProfile& profile);
 /// passes via CostModel::OptimalPasses, predicted cost via the model.
 JoinPlan PlanJoin(JoinStrategy s, uint64_t c, const MachineProfile& profile);
 
+/// Radix bits a probe chunk of `rows` tuples is clustered on under a
+/// radix/phash `plan`, in one pass: the top bits of B that the plan's
+/// first (largest) pass covers, capped at what the row count supports (no
+/// more clusters than tuples). Each probe cluster then maps to a contiguous
+/// run of 2^(B - bits) inner clusters, so one pass gives the probe the
+/// locality the inner's B-bit clusters need.
+int ProbeClusterBits(const JoinPlan& plan, uint64_t rows);
+
 }  // namespace ccdb
 
 #endif  // CCDB_MODEL_STRATEGY_H_

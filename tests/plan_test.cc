@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <tuple>
 
 #include "algo/bat_algebra.h"
@@ -690,6 +691,185 @@ TEST(ParallelExecTest, AllRowsOneKeyJoinAggregateMatchesSerial) {
       }
     }
   }
+}
+
+// --- partitioned-join probe ranges ------------------------------------------
+
+/// A probe table {fk, v}: fk = keys[i], v = i (so every row is distinct).
+Table MakeProbe(const std::vector<uint32_t>& keys) {
+  auto rs = RowStore::Make({{"fk", FieldType::kU32}, {"v", FieldType::kU32}},
+                           keys.size());
+  CCDB_CHECK(rs.ok());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    size_t r = *rs->AppendRow();
+    rs->SetU32(r, 0, keys[i]);
+    rs->SetU32(r, 1, static_cast<uint32_t>(i));
+  }
+  return *Table::FromRowStore(*rs);
+}
+
+struct JoinRun {
+  QueryResult result;
+  JoinNodeInfo info;
+};
+
+/// probe ⋈ dim on fk = order_id, optionally behind a filter on the probe.
+JoinRun RunProbeJoin(const Table& probe, const Table& dim, JoinType type,
+                     JoinStrategy strategy, size_t par, size_t chunk_rows,
+                     std::optional<Expr> filter = std::nullopt) {
+  QueryBuilder qb(probe);
+  if (filter.has_value()) qb.Filter(*filter);
+  auto plan = qb.Join(dim, "fk", "order_id", type, strategy).Build();
+  CCDB_CHECK(plan.ok());
+  PlannerOptions opts;
+  opts.exec.scan_chunk_rows = chunk_rows;
+  opts.exec.parallelism = par;
+  Planner planner(opts);
+  auto physical = planner.Lower(*plan);
+  CCDB_CHECK(physical.ok());
+  auto result = physical->Execute();
+  CCDB_CHECK(result.ok());
+  CCDB_CHECK(physical->joins().size() == 1);
+  return {*std::move(result), physical->joins()[0]};
+}
+
+void ExpectSameRows(const QueryResult& got, const QueryResult& want) {
+  ASSERT_EQ(got.num_rows(), want.num_rows());
+  ASSERT_EQ(got.num_columns(), want.num_columns());
+  for (size_t c = 0; c < want.num_columns(); ++c) {
+    EXPECT_EQ(got.columns[c].name, want.columns[c].name);
+    EXPECT_EQ(got.columns[c].u32_values, want.columns[c].u32_values);
+    EXPECT_EQ(got.columns[c].i64_values, want.columns[c].i64_values);
+    EXPECT_EQ(got.columns[c].f64_values, want.columns[c].f64_values);
+    EXPECT_EQ(got.columns[c].str_values, want.columns[c].str_values);
+  }
+}
+
+/// Rows the join must produce when dim holds the unique keys [0, dim_rows):
+/// a probe row matches exactly when its key is below dim_rows.
+size_t ExpectedJoinRows(const std::vector<uint32_t>& keys, size_t dim_rows,
+                        JoinType type) {
+  size_t matched = 0;
+  for (uint32_t k : keys) matched += k < dim_rows ? 1 : 0;
+  switch (type) {
+    case JoinType::kInner:
+    case JoinType::kSemi: return matched;
+    case JoinType::kAnti: return keys.size() - matched;
+    case JoinType::kLeftOuter: return keys.size();
+  }
+  return 0;
+}
+
+constexpr JoinType kAllJoinTypes[] = {JoinType::kInner, JoinType::kLeftOuter,
+                                      JoinType::kSemi, JoinType::kAnti};
+constexpr JoinStrategy kClusteredStrategies[] = {
+    JoinStrategy::kRadix8, JoinStrategy::kBest, JoinStrategy::kPhashMin};
+
+/// Checks every output row of probe ⋈ dim (dim keys [0, dim_rows)) on its
+/// own: joined rows carry equal keys, unmatched left-outer rows the null
+/// surrogate 0, semi rows a key in the dim and anti rows one outside it.
+void ExpectRowsMatchKeys(const QueryResult& r, size_t dim_rows,
+                         JoinType type) {
+  const std::vector<uint32_t>& fk = r.columns[0].u32_values;
+  ASSERT_EQ(r.columns[0].name, "fk");
+  ASSERT_EQ(fk.size(), r.num_rows());
+  if (type == JoinType::kSemi || type == JoinType::kAnti) {
+    for (uint32_t k : fk) {
+      EXPECT_EQ(k < dim_rows, type == JoinType::kSemi) << k;
+    }
+    return;
+  }
+  ASSERT_EQ(r.columns[2].name, "order_id");
+  const std::vector<uint32_t>& id = r.columns[2].u32_values;
+  for (size_t i = 0; i < fk.size(); ++i) {
+    EXPECT_EQ(id[i], fk[i] < dim_rows ? fk[i] : 0u) << "row " << i;
+  }
+}
+
+/// Runs every clustered strategy x join type at parallelism {1, 2, 8} and
+/// checks each result against the serial one byte for byte, the serial one
+/// against the expected row count and row contents, and the range tasks
+/// against chunks x par x 8.
+void CheckProbeRanges(const std::vector<uint32_t>& keys, size_t dim_rows,
+                      size_t chunk_rows, std::optional<Expr> filter,
+                      size_t want_rows_if_filtered) {
+  Table probe = MakeProbe(keys);
+  Table dim = MakeOrders(dim_rows);
+  const size_t chunks = (keys.size() + chunk_rows - 1) / chunk_rows;
+  for (JoinStrategy strategy : kClusteredStrategies) {
+    for (JoinType type : kAllJoinTypes) {
+      SCOPED_TRACE(std::string(JoinStrategyName(strategy)) + " " +
+                   JoinTypeName(type));
+      JoinRun serial =
+          RunProbeJoin(probe, dim, type, strategy, 1, chunk_rows, filter);
+      EXPECT_GT(serial.info.plan.bits, 0);  // a radix-clustered plan
+      EXPECT_EQ(serial.result.num_rows(),
+                filter.has_value() ? want_rows_if_filtered
+                                   : ExpectedJoinRows(keys, dim_rows, type));
+      ExpectRowsMatchKeys(serial.result, dim_rows, type);
+      for (size_t par : {1u, 2u, 8u}) {
+        SCOPED_TRACE("parallelism " + std::to_string(par));
+        JoinRun got =
+            RunProbeJoin(probe, dim, type, strategy, par, chunk_rows, filter);
+        EXPECT_EQ(got.info.probe_chunks, chunks);
+        EXPECT_LE(got.info.partition_tasks, chunks * par * 8);
+        ExpectSameRows(got.result, serial.result);
+      }
+    }
+  }
+}
+
+TEST(ProbeRangeTest, TasksBoundedAndResultsByteIdenticalAtAnyParallelism) {
+  // 4 probe chunks of 16384 rows, each split into several probe ranges at
+  // parallelism > 1; about half the keys miss the 2^14-row dimension.
+  constexpr size_t kDim = 1 << 14;
+  Rng rng(15);
+  std::vector<uint32_t> keys(1 << 16);
+  for (uint32_t& k : keys) k = static_cast<uint32_t>(rng.NextBelow(2 * kDim));
+  CheckProbeRanges(keys, kDim, 16384, std::nullopt, 0);
+
+  // One task per non-empty probe cluster (~thousands per chunk here) would
+  // exceed this; more than one range per chunk shows the chunks did split.
+  Table probe = MakeProbe(keys);
+  Table dim = MakeOrders(kDim);
+  JoinRun r = RunProbeJoin(probe, dim, JoinType::kInner, JoinStrategy::kRadix8,
+                           8, 16384);
+  EXPECT_GT(r.info.partition_tasks, 4u);
+  EXPECT_LE(r.info.partition_tasks, 4u * 8 * 4);
+}
+
+TEST(ProbeRangeTest, ChunksWithoutMatchesOrRows) {
+  constexpr size_t kDim = 1 << 12;
+  // Disjoint keys: no probe tuple has an inner cluster partner.
+  std::vector<uint32_t> disjoint(20000);
+  for (size_t i = 0; i < disjoint.size(); ++i) {
+    disjoint[i] = static_cast<uint32_t>(kDim + i % 5000);
+  }
+  CheckProbeRanges(disjoint, kDim, 8192, std::nullopt, 0);
+  // Every probe chunk filtered to nothing before it reaches the join.
+  std::vector<uint32_t> keys(20000);
+  for (size_t i = 0; i < keys.size(); ++i) keys[i] = i % kDim;
+  CheckProbeRanges(keys, kDim, 8192, Col("v") > 1000000u, 0);
+}
+
+TEST(ProbeRangeTest, OneRowChunks) {
+  Rng rng(3);
+  std::vector<uint32_t> keys(300);
+  for (uint32_t& k : keys) k = static_cast<uint32_t>(rng.NextBelow(512));
+  CheckProbeRanges(keys, 256, 1, std::nullopt, 0);
+}
+
+TEST(ProbeRangeTest, SkewedProbeMatchesSerial) {
+  // One key holds 60% of the probe rows: its radix cluster spans several
+  // probe ranges, which must still reproduce the serial result.
+  constexpr size_t kDim = 1 << 13;
+  Rng rng(21);
+  std::vector<uint32_t> keys(1 << 15);
+  for (uint32_t& k : keys) {
+    k = rng.NextBelow(10) < 6 ? 77u
+                              : static_cast<uint32_t>(rng.NextBelow(2 * kDim));
+  }
+  CheckProbeRanges(keys, kDim, 16384, std::nullopt, 0);
 }
 
 }  // namespace
