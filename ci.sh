@@ -149,7 +149,8 @@ echo "== bench artifact (BENCH_ci.json) =="
 "$BUILD_DIR/concurrent_serving" --json-merge="$BUILD_DIR/BENCH_ci.json"
 # Shared-scan A/B (K same-table clients, filter cache on vs off) merged
 # too; the run asserts the cache is >= 1.3x better on qps or p99 — a
-# work-elimination win.
+# work-elimination win — and that, with the cache on, no filter was
+# evaluated in full after warm-up.
 "$BUILD_DIR/shared_scan" --json-merge="$BUILD_DIR/BENCH_ci.json"
 # Huge-page vs base-page A/B (scan / gather / radix-cluster / join build on
 # arena mappings) merged too. The section records page_size, thp_available

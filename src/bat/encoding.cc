@@ -85,56 +85,4 @@ StatusOr<Column> DictDecode(const EncodedStrColumn& enc) {
   return Column::Str(values);
 }
 
-StatusOr<EncodedIntColumn> DictEncodeInts(const Column& int_column) {
-  switch (int_column.type()) {
-    case PhysType::kU8:
-    case PhysType::kU16:
-    case PhysType::kU32:
-    case PhysType::kI32:
-    case PhysType::kVoid:
-      break;
-    default:
-      return Status::InvalidArgument(
-          std::string("DictEncodeInts requires a 32-bit integral column, got ") +
-          PhysTypeName(int_column.type()));
-  }
-  size_t n = int_column.size();
-  EncodedIntColumn out;
-  std::unordered_map<uint32_t, uint32_t> index;
-  std::vector<uint32_t> wide_codes(n);
-  for (size_t i = 0; i < n; ++i) {
-    uint32_t v = static_cast<uint32_t>(int_column.GetIntegral(i));
-    auto [it, inserted] =
-        index.emplace(v, static_cast<uint32_t>(out.dict.size()));
-    if (inserted) out.dict.push_back(v);
-    wide_codes[i] = it->second;
-    if (out.dict.size() > 65536) {
-      return Status::ResourceExhausted(
-          "domain cardinality exceeds 65536; column not byte-encodable");
-    }
-  }
-  if (out.dict.size() <= 256) {
-    std::vector<uint8_t> codes(n);
-    for (size_t i = 0; i < n; ++i) codes[i] = static_cast<uint8_t>(wide_codes[i]);
-    out.codes = Column::U8(std::move(codes));
-  } else {
-    std::vector<uint16_t> codes(n);
-    for (size_t i = 0; i < n; ++i)
-      codes[i] = static_cast<uint16_t>(wide_codes[i]);
-    out.codes = Column::U16(std::move(codes));
-  }
-  return out;
-}
-
-StatusOr<Column> DictDecodeInts(const EncodedIntColumn& enc) {
-  size_t n = enc.codes.size();
-  std::vector<uint32_t> values(n);
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t code = enc.codes.GetIntegral(i);
-    CCDB_CHECK(code < enc.dict.size());
-    values[i] = enc.dict[code];
-  }
-  return Column::U32(std::move(values));
-}
-
 }  // namespace ccdb

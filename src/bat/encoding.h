@@ -53,17 +53,6 @@ StatusOr<EncodedStrColumn> DictEncode(const Column& str_column);
 /// emit strings; selections never need this — they remap the predicate).
 StatusOr<Column> DictDecode(const EncodedStrColumn& enc);
 
-/// Integer variant: encodes any integral column whose distinct-value count
-/// is <= 65536 into u8/u16 codes plus a u32 value dictionary.
-struct EncodedIntColumn {
-  Column codes;
-  std::vector<uint32_t> dict;
-  size_t code_width() const { return PhysTypeWidth(codes.type()); }
-};
-
-StatusOr<EncodedIntColumn> DictEncodeInts(const Column& int_column);
-StatusOr<Column> DictDecodeInts(const EncodedIntColumn& enc);
-
 }  // namespace ccdb
 
 #endif  // CCDB_BAT_ENCODING_H_

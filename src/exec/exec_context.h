@@ -100,8 +100,8 @@ struct ExecOptions {
 
   /// Optional filter-result cache (exec/filter_cache.h). When bound, every
   /// Select directly over a base-table scan takes its survivor lists from
-  /// the cache, so a repeated or narrower filter over unchanged data does
-  /// not re-read the column. Null (default) evaluates every filter —
+  /// the cache, so a repeated filter over unchanged data does not re-read
+  /// the column. Null (default) evaluates every filter —
   /// byte-identical results either way. Owned by the caller (typically
   /// serve::Server), must outlive plan execution.
   FilterCache* shared_scans = nullptr;

@@ -1,9 +1,6 @@
 #include "exec/expr.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-#include <optional>
 
 namespace ccdb {
 
@@ -281,520 +278,5 @@ Expr OrderConjunctsBySelectivity(Expr e) {
   }
   return e;
 }
-
-// --- subsumption -------------------------------------------------------------
-//
-// A leaf constrains one column to a *value set*; implication between leaves
-// on the same column is set containment. Three domains, matching what
-// Build() admits (integer literals never apply to f64 columns and vice
-// versa, so integer tightening like `x > 5 ⊆ x >= 6` is exact):
-//
-//  * kInt — sorted, disjoint, non-adjacent closed i64 intervals. Exact:
-//    containment of canonical interval lists decides implication.
-//  * kF64 — sorted, disjoint interval lists with open/closed endpoints
-//    (±inf for half-lines) plus a does-NaN-match bit: NaN column values
-//    fail every ordering and range and match only `!=`, so they are
-//    tracked outside the real line. NaN *literals* make a leaf
-//    unconvertible (no proof) rather than risking a wrong model.
-//  * kStr — a positive or complemented sorted set (equality and In-lists
-//    are the only string predicates).
-
-namespace {
-
-constexpr int64_t kIntMin = std::numeric_limits<int64_t>::min();
-constexpr int64_t kIntMax = std::numeric_limits<int64_t>::max();
-
-struct IntInterval {
-  int64_t lo, hi;  // closed [lo, hi]
-};
-
-struct F64Interval {
-  double lo, hi;
-  bool lo_open, hi_open;
-};
-
-struct LeafSet {
-  enum class Domain { kInt, kF64, kStr };
-  Domain domain = Domain::kInt;
-  std::vector<IntInterval> ints;
-  std::vector<F64Interval> f64s;
-  bool nan = false;  // f64: do NaN column values match?
-  bool str_negated = false;
-  std::vector<std::string> strs;  // sorted, unique
-};
-
-void CanonicalizeInts(std::vector<IntInterval>* iv) {
-  iv->erase(std::remove_if(iv->begin(), iv->end(),
-                           [](const IntInterval& i) { return i.lo > i.hi; }),
-            iv->end());
-  std::sort(iv->begin(), iv->end(), [](const IntInterval& x,
-                                       const IntInterval& y) {
-    return x.lo < y.lo;
-  });
-  std::vector<IntInterval> out;
-  for (const IntInterval& s : *iv) {
-    if (!out.empty() &&
-        (s.lo <= out.back().hi ||
-         (out.back().hi < kIntMax && s.lo == out.back().hi + 1))) {
-      out.back().hi = std::max(out.back().hi, s.hi);
-    } else {
-      out.push_back(s);
-    }
-  }
-  *iv = std::move(out);
-}
-
-bool F64Empty(const F64Interval& i) {
-  return i.lo > i.hi || (i.lo == i.hi && (i.lo_open || i.hi_open));
-}
-
-void CanonicalizeF64s(std::vector<F64Interval>* iv) {
-  iv->erase(std::remove_if(iv->begin(), iv->end(), F64Empty), iv->end());
-  std::sort(iv->begin(), iv->end(),
-            [](const F64Interval& x, const F64Interval& y) {
-              if (x.lo != y.lo) return x.lo < y.lo;
-              return !x.lo_open && y.lo_open;  // closed start first
-            });
-  std::vector<F64Interval> out;
-  for (const F64Interval& s : *iv) {
-    if (!out.empty()) {
-      F64Interval& b = out.back();
-      // Overlapping, or touching with at least one closed end ([1,2)∪[2,3]
-      // merges, (1,2)∪(2,3) does not — the point 2 is missing).
-      if (s.lo < b.hi || (s.lo == b.hi && (!s.lo_open || !b.hi_open))) {
-        if (s.hi > b.hi || (s.hi == b.hi && b.hi_open && !s.hi_open)) {
-          b.hi = s.hi;
-          b.hi_open = s.hi_open;
-        }
-        continue;
-      }
-    }
-    out.push_back(s);
-  }
-  *iv = std::move(out);
-}
-
-int64_t IntValue(const Literal& l) {
-  return l.type == Literal::Type::kU32 ? static_cast<int64_t>(l.u32) : l.i64;
-}
-
-bool IntLeafSet(const Expr& e, std::vector<IntInterval>* out) {
-  switch (e.kind) {
-    case Expr::Kind::kCmp: {
-      int64_t v = IntValue(e.value);
-      switch (e.cmp) {
-        case CmpOp::kEq:
-          out->push_back({v, v});
-          break;
-        case CmpOp::kNe:
-          if (v > kIntMin) out->push_back({kIntMin, v - 1});
-          if (v < kIntMax) out->push_back({v + 1, kIntMax});
-          break;
-        case CmpOp::kLt:
-          if (v > kIntMin) out->push_back({kIntMin, v - 1});
-          break;
-        case CmpOp::kLe:
-          out->push_back({kIntMin, v});
-          break;
-        case CmpOp::kGt:
-          if (v < kIntMax) out->push_back({v + 1, kIntMax});
-          break;
-        case CmpOp::kGe:
-          out->push_back({v, kIntMax});
-          break;
-      }
-      return true;
-    }
-    case Expr::Kind::kBetween: {
-      int64_t lo = IntValue(e.lo), hi = IntValue(e.hi);
-      if (!e.negated) {
-        out->push_back({lo, hi});
-      } else {
-        if (lo > kIntMin) out->push_back({kIntMin, lo - 1});
-        if (hi < kIntMax) out->push_back({hi + 1, kIntMax});
-      }
-      return true;
-    }
-    case Expr::Kind::kIn: {
-      std::vector<uint32_t> vs(e.in_u32);
-      std::sort(vs.begin(), vs.end());
-      vs.erase(std::unique(vs.begin(), vs.end()), vs.end());
-      if (!e.negated) {
-        for (uint32_t v : vs) {
-          int64_t x = static_cast<int64_t>(v);
-          out->push_back({x, x});
-        }
-      } else {
-        int64_t lo = kIntMin;
-        for (uint32_t v : vs) {
-          int64_t x = static_cast<int64_t>(v);
-          if (x > lo) out->push_back({lo, x - 1});
-          lo = x + 1;  // v <= UINT32_MAX, no overflow
-        }
-        out->push_back({lo, kIntMax});
-      }
-      return true;
-    }
-    default:
-      return false;
-  }
-}
-
-bool F64LeafSet(const Expr& e, std::vector<F64Interval>* out, bool* nan) {
-  const double inf = std::numeric_limits<double>::infinity();
-  *nan = false;
-  switch (e.kind) {
-    case Expr::Kind::kCmp: {
-      double v = e.value.f64;
-      if (std::isnan(v)) return false;  // no proof over NaN literals
-      switch (e.cmp) {
-        case CmpOp::kEq:
-          out->push_back({v, v, false, false});
-          break;
-        case CmpOp::kNe:
-          out->push_back({-inf, v, false, true});
-          out->push_back({v, inf, true, false});
-          *nan = true;  // NaN != v is true
-          break;
-        case CmpOp::kLt:
-          out->push_back({-inf, v, false, true});
-          break;
-        case CmpOp::kLe:
-          out->push_back({-inf, v, false, false});
-          break;
-        case CmpOp::kGt:
-          out->push_back({v, inf, true, false});
-          break;
-        case CmpOp::kGe:
-          out->push_back({v, inf, false, false});
-          break;
-      }
-      return true;
-    }
-    case Expr::Kind::kBetween: {
-      double lo = e.lo.f64, hi = e.hi.f64;
-      if (std::isnan(lo) || std::isnan(hi)) return false;
-      if (!e.negated) {
-        out->push_back({lo, hi, false, false});
-      } else {
-        out->push_back({-inf, lo, false, true});
-        out->push_back({hi, inf, true, false});
-      }
-      return true;
-    }
-    default:
-      return false;  // no f64 In-lists exist
-  }
-}
-
-bool StrLeafSet(const Expr& e, bool* negated, std::vector<std::string>* out) {
-  switch (e.kind) {
-    case Expr::Kind::kCmp:
-      if (e.cmp == CmpOp::kEq) {
-        *negated = false;
-      } else if (e.cmp == CmpOp::kNe) {
-        *negated = true;
-      } else {
-        return false;  // string ordering comparisons are not admitted
-      }
-      out->push_back(e.value.str);
-      return true;
-    case Expr::Kind::kIn: {
-      *negated = e.negated;
-      *out = e.in_str;
-      std::sort(out->begin(), out->end());
-      out->erase(std::unique(out->begin(), out->end()), out->end());
-      return true;
-    }
-    default:
-      return false;
-  }
-}
-
-std::optional<LeafSet> MakeLeafSet(const Expr& e) {
-  LeafSet s;
-  Literal::Type lt;
-  switch (e.kind) {
-    case Expr::Kind::kCmp:
-      lt = e.value.type;
-      break;
-    case Expr::Kind::kBetween:
-      lt = e.lo.type;
-      break;
-    case Expr::Kind::kIn:
-      lt = e.in_str.empty() ? Literal::Type::kU32 : Literal::Type::kStr;
-      break;
-    default:
-      return std::nullopt;
-  }
-  switch (lt) {
-    case Literal::Type::kU32:
-    case Literal::Type::kI64:
-      s.domain = LeafSet::Domain::kInt;
-      if (!IntLeafSet(e, &s.ints)) return std::nullopt;
-      CanonicalizeInts(&s.ints);
-      return s;
-    case Literal::Type::kF64:
-      s.domain = LeafSet::Domain::kF64;
-      if (!F64LeafSet(e, &s.f64s, &s.nan)) return std::nullopt;
-      CanonicalizeF64s(&s.f64s);
-      return s;
-    case Literal::Type::kStr:
-      s.domain = LeafSet::Domain::kStr;
-      if (!StrLeafSet(e, &s.str_negated, &s.strs)) return std::nullopt;
-      return s;
-  }
-  return std::nullopt;
-}
-
-bool IntContains(const std::vector<IntInterval>& big,
-                 const std::vector<IntInterval>& small) {
-  size_t j = 0;
-  for (const IntInterval& s : small) {
-    while (j < big.size() && big[j].hi < s.hi) ++j;
-    if (j == big.size() || big[j].lo > s.lo || big[j].hi < s.hi) return false;
-  }
-  return true;
-}
-
-/// Does big's lo bound admit everything small's does?
-bool F64LoCovers(const F64Interval& b, const F64Interval& s) {
-  return b.lo < s.lo || (b.lo == s.lo && (!b.lo_open || s.lo_open));
-}
-
-bool F64HiCovers(const F64Interval& b, const F64Interval& s) {
-  return b.hi > s.hi || (b.hi == s.hi && (!b.hi_open || s.hi_open));
-}
-
-bool F64Contains(const std::vector<F64Interval>& big,
-                 const std::vector<F64Interval>& small) {
-  size_t j = 0;
-  for (const F64Interval& s : small) {
-    while (j < big.size() && !F64HiCovers(big[j], s)) ++j;
-    if (j == big.size() || !F64LoCovers(big[j], s)) return false;
-  }
-  return true;
-}
-
-bool Contains(const LeafSet& big, const LeafSet& small) {
-  if (big.domain != small.domain) return false;
-  switch (small.domain) {
-    case LeafSet::Domain::kInt:
-      return IntContains(big.ints, small.ints);
-    case LeafSet::Domain::kF64:
-      if (small.nan && !big.nan) return false;
-      return F64Contains(big.f64s, small.f64s);
-    case LeafSet::Domain::kStr: {
-      const std::vector<std::string>& a = small.strs;
-      const std::vector<std::string>& b = big.strs;
-      if (!small.str_negated && !big.str_negated) {
-        return std::includes(b.begin(), b.end(), a.begin(), a.end());
-      }
-      if (!small.str_negated && big.str_negated) {
-        // {a...} ⊆ Σ∖{b...} iff the explicit sets are disjoint.
-        std::vector<std::string> both;
-        std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                              std::back_inserter(both));
-        return both.empty();
-      }
-      if (small.str_negated && big.str_negated) {
-        // Σ∖A ⊆ Σ∖B iff B ⊆ A.
-        return std::includes(a.begin(), a.end(), b.begin(), b.end());
-      }
-      return false;  // a complement never fits a finite set
-    }
-  }
-  return false;
-}
-
-std::optional<LeafSet> IntersectSets(const LeafSet& a, const LeafSet& b) {
-  if (a.domain != b.domain) return std::nullopt;
-  LeafSet out;
-  out.domain = a.domain;
-  switch (a.domain) {
-    case LeafSet::Domain::kInt: {
-      size_t i = 0, j = 0;
-      while (i < a.ints.size() && j < b.ints.size()) {
-        int64_t lo = std::max(a.ints[i].lo, b.ints[j].lo);
-        int64_t hi = std::min(a.ints[i].hi, b.ints[j].hi);
-        if (lo <= hi) out.ints.push_back({lo, hi});
-        if (a.ints[i].hi < b.ints[j].hi) {
-          ++i;
-        } else {
-          ++j;
-        }
-      }
-      return out;
-    }
-    case LeafSet::Domain::kF64: {
-      out.nan = a.nan && b.nan;
-      size_t i = 0, j = 0;
-      while (i < a.f64s.size() && j < b.f64s.size()) {
-        const F64Interval& x = a.f64s[i];
-        const F64Interval& y = b.f64s[j];
-        F64Interval r;
-        if (x.lo > y.lo || (x.lo == y.lo && x.lo_open)) {
-          r.lo = x.lo;
-          r.lo_open = x.lo_open;
-        } else {
-          r.lo = y.lo;
-          r.lo_open = y.lo_open;
-        }
-        if (x.hi < y.hi || (x.hi == y.hi && x.hi_open)) {
-          r.hi = x.hi;
-          r.hi_open = x.hi_open;
-        } else {
-          r.hi = y.hi;
-          r.hi_open = y.hi_open;
-        }
-        if (!F64Empty(r)) out.f64s.push_back(r);
-        if (x.hi < y.hi || (x.hi == y.hi && x.hi_open && !y.hi_open)) {
-          ++i;
-        } else {
-          ++j;
-        }
-      }
-      return out;
-    }
-    case LeafSet::Domain::kStr: {
-      const std::vector<std::string>& sa = a.strs;
-      const std::vector<std::string>& sb = b.strs;
-      if (!a.str_negated && !b.str_negated) {
-        std::set_intersection(sa.begin(), sa.end(), sb.begin(), sb.end(),
-                              std::back_inserter(out.strs));
-      } else if (!a.str_negated && b.str_negated) {
-        std::set_difference(sa.begin(), sa.end(), sb.begin(), sb.end(),
-                            std::back_inserter(out.strs));
-      } else if (a.str_negated && !b.str_negated) {
-        std::set_difference(sb.begin(), sb.end(), sa.begin(), sa.end(),
-                            std::back_inserter(out.strs));
-      } else {
-        out.str_negated = true;
-        std::set_union(sa.begin(), sa.end(), sb.begin(), sb.end(),
-                       std::back_inserter(out.strs));
-      }
-      return out;
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<LeafSet> UnionSets(const LeafSet& a, const LeafSet& b) {
-  if (a.domain != b.domain) return std::nullopt;
-  LeafSet out;
-  out.domain = a.domain;
-  switch (a.domain) {
-    case LeafSet::Domain::kInt:
-      out.ints = a.ints;
-      out.ints.insert(out.ints.end(), b.ints.begin(), b.ints.end());
-      CanonicalizeInts(&out.ints);
-      return out;
-    case LeafSet::Domain::kF64:
-      out.nan = a.nan || b.nan;
-      out.f64s = a.f64s;
-      out.f64s.insert(out.f64s.end(), b.f64s.begin(), b.f64s.end());
-      CanonicalizeF64s(&out.f64s);
-      return out;
-    case LeafSet::Domain::kStr: {
-      const std::vector<std::string>& sa = a.strs;
-      const std::vector<std::string>& sb = b.strs;
-      if (!a.str_negated && !b.str_negated) {
-        std::set_union(sa.begin(), sa.end(), sb.begin(), sb.end(),
-                       std::back_inserter(out.strs));
-      } else if (a.str_negated && b.str_negated) {
-        out.str_negated = true;
-        std::set_intersection(sa.begin(), sa.end(), sb.begin(), sb.end(),
-                              std::back_inserter(out.strs));
-      } else {
-        // pos P ∪ neg N = Σ ∖ (N ∖ P).
-        const std::vector<std::string>& pos = a.str_negated ? sb : sa;
-        const std::vector<std::string>& neg = a.str_negated ? sa : sb;
-        out.str_negated = true;
-        std::set_difference(neg.begin(), neg.end(), pos.begin(), pos.end(),
-                            std::back_inserter(out.strs));
-      }
-      return out;
-    }
-  }
-  return std::nullopt;
-}
-
-bool SubsumesImpl(const Expr& a, const Expr& b) {
-  if (a.kind == Expr::Kind::kNot || b.kind == Expr::Kind::kNot) return false;
-  if (b.kind == Expr::Kind::kAnd) {
-    // a ⇒ (b1 ∧ b2 ∧ ...) iff a implies every conjunct. Empty And is the
-    // always-true filter; anything implies it.
-    for (const Expr& c : b.children) {
-      if (!SubsumesImpl(a, c)) return false;
-    }
-    return true;
-  }
-  if (a.kind == Expr::Kind::kOr) {
-    // (a1 ∨ a2 ∨ ...) ⇒ b iff every disjunct implies b. An empty Or matches
-    // nothing and implies everything.
-    for (const Expr& c : a.children) {
-      if (!SubsumesImpl(c, b)) return false;
-    }
-    return true;
-  }
-  if (a.kind == Expr::Kind::kAnd) {
-    // Any single conjunct implying b is enough (the rest only narrow a).
-    for (const Expr& c : a.children) {
-      if (SubsumesImpl(c, b)) return true;
-    }
-    if (b.leaf()) {
-      // Refinement: intersect the value sets of a's conjuncts on b's
-      // column. That intersection is a superset of a's true projection
-      // (other conjuncts only narrow), so containment in b still proves
-      // the implication — this is what shows x > 5 && x < 10 ⇒ x in [6,9].
-      std::optional<LeafSet> bs = MakeLeafSet(b);
-      if (!bs.has_value()) return false;
-      std::optional<LeafSet> acc;
-      for (const Expr& c : a.children) {
-        if (!c.leaf() || c.column != b.column) continue;
-        std::optional<LeafSet> cs = MakeLeafSet(c);
-        if (!cs.has_value() || cs->domain != bs->domain) continue;
-        acc = acc.has_value() ? IntersectSets(*acc, *cs) : cs;
-        if (!acc.has_value()) return false;
-      }
-      return acc.has_value() && Contains(*bs, *acc);
-    }
-    // b is an Or: a implying any disjunct is enough.
-    for (const Expr& d : b.children) {
-      if (SubsumesImpl(a, d)) return true;
-    }
-    return false;
-  }
-  if (b.kind == Expr::Kind::kOr) {
-    // a is a leaf here. Any single disjunct covering a is enough...
-    for (const Expr& d : b.children) {
-      if (SubsumesImpl(a, d)) return true;
-    }
-    // ...otherwise union b's same-column disjuncts: that union is a subset
-    // of b's true match set (a partial cover), so containing a is a proof —
-    // this is what shows x = 3 ⇒ x < 2 || x > 2.
-    std::optional<LeafSet> as = MakeLeafSet(a);
-    if (!as.has_value()) return false;
-    std::optional<LeafSet> acc;
-    for (const Expr& d : b.children) {
-      if (!d.leaf() || d.column != a.column) continue;
-      std::optional<LeafSet> ds = MakeLeafSet(d);
-      if (!ds.has_value() || ds->domain != as->domain) continue;
-      acc = acc.has_value() ? UnionSets(*acc, *ds) : ds;
-      if (!acc.has_value()) return false;
-    }
-    return acc.has_value() && Contains(*acc, *as);
-  }
-  // Leaf vs leaf: same column, value-set containment.
-  if (a.column != b.column) return false;
-  std::optional<LeafSet> as = MakeLeafSet(a);
-  std::optional<LeafSet> bs = MakeLeafSet(b);
-  if (!as.has_value() || !bs.has_value()) return false;
-  return Contains(*bs, *as);
-}
-
-}  // namespace
-
-bool ExprSubsumes(const Expr& a, const Expr& b) { return SubsumesImpl(a, b); }
 
 }  // namespace ccdb

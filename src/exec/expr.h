@@ -80,6 +80,10 @@ struct Literal {
   }
 
   std::string ToString() const;
+
+  /// Member-wise, inactive members included (the factories zero them).
+  /// f64 follows IEEE: a NaN literal equals nothing, not even itself.
+  bool operator==(const Literal&) const = default;
 };
 
 /// One node of a filter expression tree. Value-semantic (copyable), so
@@ -114,6 +118,12 @@ struct Expr {
   /// Renders the expression, AND binding tighter than OR:
   /// `qty in [2, 4] AND (shipmode = "MAIL" OR supp != 7)`.
   std::string ToString() const;
+
+  /// Structural equality: same tree, same literals and literal types,
+  /// children in the same order. Filters that mean the same but normalize
+  /// to different trees (`Between(x, 2, 3)` vs `x >= 2 && x <= 3`) are
+  /// unequal; the FilterCache shares lists only between equal filters.
+  bool operator==(const Expr&) const = default;
 };
 
 // --- fluent construction -----------------------------------------------------
@@ -276,24 +286,6 @@ const char* ConjunctRankName(int rank);
 /// match set is order-independent (conjuncts intersect), so this changes
 /// evaluation cost, never results.
 Expr OrderConjunctsBySelectivity(Expr e);
-
-/// Does `a` imply `b` — is every row satisfying `a` guaranteed to satisfy
-/// `b`? Conservative: a `true` answer is a proof, a `false` answer means
-/// "could not prove it" (never "disproved"). Callers use this to share
-/// work between filters: when ExprSubsumes(a, b), the rows matching `a`
-/// can be computed by *narrowing* `b`'s position list with `a` instead of
-/// re-scanning the column, with byte-identical results.
-///
-/// Both arguments must be normalized (NormalizeExpr output): any kNot node
-/// returns false. Leaves are compared per column as value sets — integral
-/// comparisons/Between/In become i64 interval lists (exact containment),
-/// f64 leaves become open/closed interval lists with NaN tracked
-/// separately (NaN fails every ordering and range, matches only !=), and
-/// string leaves become positive or negated sorted sets. And/Or recurse
-/// structurally, plus a per-column leaf-intersection refinement so e.g.
-/// `x > 5 && x < 10` provably implies `Between(x, 6, 9)`. Columns are
-/// matched by name; cross-type (numeric vs string) never subsumes.
-bool ExprSubsumes(const Expr& a, const Expr& b);
 
 }  // namespace ccdb
 

@@ -66,8 +66,6 @@ StatusOr<FilterCache::Positions> FilterCache::Filter(
   const uint64_t version = table.data_version();
   const size_t chunks = NumChunks(rows, chunk_rows);
 
-  Positions donor;  // equivalent (exact) or first weaker cached list
-  bool exact = false;
   {
     MutexLock lock(&tc->mu);
     if (!tc->Describes(chunk_rows, rows, version)) {
@@ -76,45 +74,31 @@ StatusOr<FilterCache::Positions> FilterCache::Filter(
       tc->num_rows = rows;
       tc->data_version = version;
     }
-    for (const TableCache::Cached& e : tc->filters) {
-      if (index >= chunks || e.chunks[index] == nullptr) continue;
-      if (!ExprSubsumes(normalized, e.filter)) continue;
-      if (ExprSubsumes(e.filter, normalized)) {
-        donor = e.chunks[index];
-        exact = true;
-        break;
+    if (index < chunks) {
+      for (const TableCache::Cached& e : tc->filters) {
+        if (e.chunks[index] != nullptr && e.filter == normalized) {
+          copied_.fetch_add(1, std::memory_order_relaxed);
+          return e.chunks[index];
+        }
       }
-      if (donor == nullptr) donor = e.chunks[index];
     }
   }
-  if (exact) {
-    copied_.fetch_add(1, std::memory_order_relaxed);
-    return donor;
-  }
 
-  std::vector<uint32_t> survivors;
-  if (donor != nullptr) {
-    CCDB_ASSIGN_OR_RETURN(
-        survivors, NarrowFilterPositions(chunk, normalized, *donor, ctx));
-    narrowed_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    CCDB_ASSIGN_OR_RETURN(survivors,
-                          EvalFilterPositions(chunk, normalized, ctx));
-    full_evals_.fetch_add(1, std::memory_order_relaxed);
-  }
+  CCDB_ASSIGN_OR_RETURN(std::vector<uint32_t> survivors,
+                        EvalFilterPositions(chunk, normalized, ctx));
+  full_evals_.fetch_add(1, std::memory_order_relaxed);
   Positions result =
       std::make_shared<const std::vector<uint32_t>>(std::move(survivors));
-  if (index >= chunks) return result;
+  // A filter with a NaN literal never equals itself, so no lookup could
+  // find it again: storing it would only fill a slot for good.
+  if (index >= chunks || !(normalized == normalized)) return result;
 
   MutexLock lock(&tc->mu);
   // Another query may have moved the geometry on while we evaluated.
   if (!tc->Describes(chunk_rows, rows, version)) return result;
   auto slot = std::find_if(
       tc->filters.begin(), tc->filters.end(),
-      [&](const TableCache::Cached& e) {
-        return ExprSubsumes(normalized, e.filter) &&
-               ExprSubsumes(e.filter, normalized);
-      });
+      [&](const TableCache::Cached& e) { return e.filter == normalized; });
   if (slot == tc->filters.end()) {
     if (tc->filters.size() >= kMaxFiltersPerTable) return result;
     tc->filters.push_back({normalized, std::vector<Positions>(chunks)});
@@ -127,7 +111,6 @@ StatusOr<FilterCache::Positions> FilterCache::Filter(
 FilterCache::Stats FilterCache::stats() const {
   Stats s;
   s.filter_full_evals = full_evals_.load(std::memory_order_relaxed);
-  s.filter_narrowed = narrowed_.load(std::memory_order_relaxed);
   s.filter_copied = copied_.load(std::memory_order_relaxed);
   return s;
 }

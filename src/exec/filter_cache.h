@@ -8,14 +8,14 @@
 // each chunk's survivors (the planner binds it when ExecOptions::shared_scans
 // is set). Per table the cache keeps up to kMaxFiltersPerTable distinct
 // normalized filters, each with one survivor list per scan chunk, filled in
-// as chunks are evaluated. A lookup is served, for the same chunk, by:
-//  * an equivalent cached filter (ExprSubsumes both ways): the list is
-//    shared outright, no column is read;
-//  * a strictly weaker cached filter (the new one implies it): its list is
-//    narrowed by NarrowFilterPositions instead of re-scanning the chunk —
-//    sound because Narrow({p: B(p)}, A) = {p: A(p)} whenever A ⇒ B;
-//  * otherwise a full evaluation, which is stored for later queries.
-// Results are byte-identical to evaluating every filter (same kernels).
+// as chunks are evaluated. A lookup is served from a cached filter that is
+// structurally equal to the new one (Expr::operator==, on the normalized
+// form SelectOp holds): the list is shared outright and no column is read.
+// Any other filter — including one that means the same but normalizes to a
+// different tree, or one that implies a cached filter — is evaluated in
+// full and stored for later queries. A filter with a NaN literal equals
+// nothing, itself included, so it is evaluated but never stored. Results
+// are byte-identical to evaluating every filter (same kernels).
 //
 // Validity: a table's lists describe one (chunk_rows, num_rows,
 // data_version). A lookup under any other geometry drops them all and
@@ -45,8 +45,10 @@ class FilterCache {
   /// Cumulative filter outcomes (relaxed counters: diagnostics only).
   struct Stats {
     uint64_t filter_full_evals = 0;  // filters evaluated against a chunk
-    uint64_t filter_narrowed = 0;    // computed by narrowing a cached list
-    uint64_t filter_copied = 0;      // equivalent filter: list reused
+    // Always 0: lists are no longer narrowed. Kept only because the
+    // repository benchmark (perfbench/workloads.cc) still reads it.
+    uint64_t filter_narrowed = 0;
+    uint64_t filter_copied = 0;  // equal cached filter: list reused
   };
 
   using Positions = std::shared_ptr<const std::vector<uint32_t>>;
@@ -79,7 +81,6 @@ class FilterCache {
   std::vector<std::unique_ptr<TableCache>> tables_ CCDB_GUARDED_BY(mu_);
 
   std::atomic<uint64_t> full_evals_{0};
-  std::atomic<uint64_t> narrowed_{0};
   std::atomic<uint64_t> copied_{0};
 };
 

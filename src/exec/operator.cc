@@ -1060,19 +1060,12 @@ StatusOr<std::vector<uint32_t>> EvalExprNarrow(const Chunk& in, const Expr& e,
 
 }  // namespace
 
-// Public faces of the evaluation walks above: the FilterCache fills and
-// narrows its lists with the exact kernels SelectOp runs, so caching cannot
-// change results.
+// Public face of the evaluation walk above: the FilterCache fills its lists
+// with the exact kernels SelectOp runs, so caching cannot change results.
 StatusOr<std::vector<uint32_t>> EvalFilterPositions(const Chunk& chunk,
                                                     const Expr& normalized,
                                                     const ExecContext* ctx) {
   return EvalExprFull(chunk, normalized, ctx);
-}
-
-StatusOr<std::vector<uint32_t>> NarrowFilterPositions(
-    const Chunk& chunk, const Expr& normalized,
-    std::vector<uint32_t> positions, const ExecContext* ctx) {
-  return EvalExprNarrow(chunk, normalized, std::move(positions), ctx);
 }
 
 StatusOr<bool> SelectOp::Next(Chunk* out) {

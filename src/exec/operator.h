@@ -232,15 +232,6 @@ StatusOr<std::vector<uint32_t>> EvalFilterPositions(const Chunk& chunk,
                                                     const Expr& normalized,
                                                     const ExecContext* ctx);
 
-/// Narrows an ascending position list by a normalized filter: returns the
-/// positions that also satisfy it, preserving order. When ExprSubsumes(a,
-/// b) holds, NarrowFilterPositions(chunk, a, EvalFilterPositions(chunk, b))
-/// equals EvalFilterPositions(chunk, a) — the identity the FilterCache's
-/// narrowing is built on.
-StatusOr<std::vector<uint32_t>> NarrowFilterPositions(
-    const Chunk& chunk, const Expr& normalized,
-    std::vector<uint32_t> positions, const ExecContext* ctx);
-
 /// Equi-join. Open() drains the inner (right) child, asks the cost model
 /// for a JoinPlan at the *actual* inner cardinality (recorded into `info`),
 /// and prepares the inner side exactly once for that plan: radix-clustered

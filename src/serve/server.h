@@ -72,8 +72,8 @@ struct ServerOptions {
   bool use_plan_cache = true;
 
   /// true: the server owns a FilterCache (exec/filter_cache.h) and every
-  /// Select directly over a base-table scan reuses or narrows the survivor
-  /// lists of earlier equivalent or weaker filters over unchanged data.
+  /// Select directly over a base-table scan reuses the survivor lists of an
+  /// earlier structurally equal filter over unchanged data.
   /// false: every filter is evaluated — byte-identical results.
   bool shared_scan = true;
 };

@@ -181,25 +181,6 @@ TEST(DictEncodeTest, LookupFindsCodesAndMisses) {
   EXPECT_EQ(enc->dict.Lookup("z").status().code(), StatusCode::kNotFound);
 }
 
-TEST(DictEncodeIntsTest, RoundTripAndWidth) {
-  Column c = Column::U32({5, 5, 900000, 5, 900000});
-  auto enc = DictEncodeInts(c);
-  ASSERT_TRUE(enc.ok());
-  EXPECT_EQ(enc->codes.type(), PhysType::kU8);
-  EXPECT_EQ(enc->dict.size(), 2u);
-  auto dec = DictDecodeInts(*enc);
-  ASSERT_TRUE(dec.ok());
-  auto span = dec->Span<uint32_t>();
-  EXPECT_EQ(span[2], 900000u);
-  EXPECT_EQ(span[4], 900000u);
-  EXPECT_EQ(span[0], 5u);
-}
-
-TEST(DictEncodeIntsTest, RejectsFloats) {
-  EXPECT_EQ(DictEncodeInts(Column::F64({1.0})).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
 TEST(PhysTypeTest, WidthsAndNames) {
   EXPECT_EQ(PhysTypeWidth(PhysType::kU8), 1u);
   EXPECT_EQ(PhysTypeWidth(PhysType::kU16), 2u);

@@ -1,19 +1,17 @@
-// Shared scans through the filter-result cache: ExprSubsumes soundness
-// against oracle evaluation (the subsumption matrix: Eq⊂Range, In⊂In,
-// Between⊂Range, negated leaves, And/Or refinements, f64 open/closed
-// endpoints and NaN, strings, and non-subsuming pairs), the FilterCache
-// behind SelectOp (equivalent filters reuse a list, stronger ones narrow
-// it, lists survive across queries until the data version or chunking
-// moves, a cancelled query stores only the chunks it finished, tables are
-// keyed on their liveness token, at most 8 filters per table, Selects
-// over non-scan children bypass it), and end-to-end byte-identity: plans
-// with the cache bound produce exactly the cache-free results at
-// parallelism {1, 2, 8}, with and without the serving layer.
+// Shared scans through the filter-result cache: the FilterCache behind
+// SelectOp (a filter structurally equal to a cached one after
+// normalization reuses its list; equivalent filters written differently,
+// stronger filters, and filters differing in literal type, negation or
+// column are evaluated separately; a NaN-literal filter is never stored;
+// lists survive across queries until the data version or chunking moves;
+// a cancelled query stores only the chunks it finished; tables are keyed
+// on their liveness token; at most 8 filters per table; Selects over
+// non-scan children bypass it), and end-to-end byte-identity: plans with
+// the cache bound produce exactly the cache-free results at parallelism
+// {1, 2, 8}, with and without the serving layer.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -35,7 +33,7 @@ namespace {
 
 // items(order u32, qty u32, price f64, shipmode char10): qty = 1 + (i +
 // shift) % 5, price = 10 + i % 97 with every 250th price NaN (exercises
-// the IEEE semantics subsumption must respect), shipmode cycles
+// the IEEE semantics cached lists must respect), shipmode cycles
 // MAIL/AIR/TRUCK/SHIP.
 Table MakeItems(size_t n, size_t shift = 0) {
   auto rs = RowStore::Make(
@@ -81,159 +79,6 @@ std::vector<uint32_t> Oracle(const Table& t, const Expr& normalized) {
   return *std::move(r);
 }
 
-bool IsSubset(const std::vector<uint32_t>& small,
-              const std::vector<uint32_t>& big) {
-  return std::includes(big.begin(), big.end(), small.begin(), small.end());
-}
-
-// --- ExprSubsumes: the subsumption matrix ------------------------------------
-
-TEST(ExprSubsumesTest, MatrixMatchesOracle) {
-  Table t = MakeItems(3000);
-  double nan = std::numeric_limits<double>::quiet_NaN();
-  struct Case {
-    const char* what;
-    Expr a, b;
-    bool expect;  // does ExprSubsumes(a, b) prove a => b?
-  };
-  std::vector<Case> cases;
-  auto add = [&](const char* what, Expr a, Expr b, bool expect) {
-    cases.push_back({what, std::move(a), std::move(b), expect});
-  };
-  // Eq within a range.
-  add("eq in between", Col("qty") == 3u, Between(Col("qty"), 1, 4), true);
-  add("eq in ordering", Col("qty") == 3u, Col("qty") >= 2u, true);
-  // In-list within a superset In-list.
-  add("in in in", InU32(Col("qty"), {2, 4}), InU32(Col("qty"), {1, 2, 4}),
-      true);
-  // Between within a wider range.
-  add("between in between", Between(Col("qty"), 2, 3),
-      Between(Col("qty"), 1, 4), true);
-  add("between in ordering", Between(Col("qty"), 2, 3), Col("qty") >= 2u,
-      true);
-  // Integer closed-interval tightening: qty > 3 is exactly qty >= 4, so a
-  // range starting at 4 is contained in it.
-  add("int tightening", Between(Col("qty"), 4, 9), Col("qty") > 3u, true);
-  // Negated leaves: smaller complement set implies larger complement hole.
-  add("negated in", !InU32(Col("qty"), {1, 2, 3}), !InU32(Col("qty"), {1, 2}),
-      true);
-  add("negated between", !Between(Col("qty"), 1, 4),
-      !Between(Col("qty"), 2, 3), true);
-  add("ne from eq-other", Col("qty") == 2u, Col("qty") != 3u, true);
-  // And refinement: the conjunction's intersection proves what no single
-  // conjunct does.
-  add("and intersection", Col("qty") > 1u && Col("qty") < 4u,
-      Between(Col("qty"), 2, 3), true);
-  add("and one-conjunct", Between(Col("qty"), 2, 3) && Col("order") < 100u,
-      Between(Col("qty"), 1, 4), true);
-  // Or on either side.
-  add("or of eqs into between", Col("qty") == 2u || Col("qty") == 3u,
-      Between(Col("qty"), 2, 3), true);
-  add("between into or union", Between(Col("qty"), 2, 4),
-      Col("qty") == 2u || Col("qty") == 3u || Col("qty") == 4u, true);
-  // f64: endpoint openness matters.
-  add("f64 lt in le", Col("price") < 20.0, Col("price") <= 20.0, true);
-  add("f64 le NOT in lt", Col("price") <= 20.0, Col("price") < 20.0, false);
-  add("f64 between in ge", Between(Col("price"), 12.0, 18.0),
-      Col("price") >= 10.0, true);
-  // != matches NaN as well as every other value, so any NaN-free range
-  // implies it.
-  add("f64 between in ne", Between(Col("price"), 12.0, 18.0),
-      Col("price") != 11.0, true);
-  // Strings.
-  add("str eq in in", Col("shipmode") == "MAIL",
-      InStr(Col("shipmode"), {"MAIL", "AIR"}), true);
-  add("str eq in ne-other", Col("shipmode") == "MAIL",
-      Col("shipmode") != "AIR", true);
-  add("str ne in ne", !InStr(Col("shipmode"), {"AIR", "SHIP"}),
-      Col("shipmode") != "AIR", true);
-  // Non-subsuming pairs: the checker must say "no proof".
-  add("wider not in narrower", Between(Col("qty"), 1, 4), Col("qty") == 3u,
-      false);
-  add("different columns", Col("qty") == 3u, Col("order") == 3u, false);
-  add("different domains", Col("qty") == 3u, Col("price") >= 0.0, false);
-  add("overlapping ins", InU32(Col("qty"), {1, 2}), InU32(Col("qty"), {2, 3}),
-      false);
-  add("str eq other", Col("shipmode") == "MAIL", Col("shipmode") == "AIR",
-      false);
-  // NaN literals are unconvertible: no proof either way, even reflexively.
-  add("nan literal", Col("price") != nan, Col("price") != nan, false);
-
-  for (const Case& c : cases) {
-    Expr a = N(c.a), b = N(c.b);
-    EXPECT_EQ(ExprSubsumes(a, b), c.expect)
-        << c.what << ": " << a.ToString() << "  =>  " << b.ToString();
-    if (c.expect) {
-      // A claimed implication must hold on real data (NaN rows included).
-      EXPECT_TRUE(IsSubset(Oracle(t, a), Oracle(t, b))) << c.what;
-    }
-  }
-}
-
-// Every true answer across a pool of assorted filters must be sound
-// against oracle evaluation — in both orders, including self-pairs.
-TEST(ExprSubsumesTest, PairwiseSoundnessSweep) {
-  Table t = MakeItems(4000);
-  std::vector<Expr> pool;
-  for (Expr& e : std::vector<Expr>{
-           Col("qty") == 3u, Col("qty") != 3u, Col("qty") >= 2u,
-           Col("qty") < 4u, Between(Col("qty"), 2, 3),
-           !Between(Col("qty"), 2, 3), InU32(Col("qty"), {1, 3, 5}),
-           !InU32(Col("qty"), {2, 4}), Col("qty") > 1u && Col("qty") <= 3u,
-           Col("qty") == 1u || Col("qty") == 5u, Col("price") < 40.0,
-           Col("price") <= 40.0, Col("price") != 40.0,
-           Between(Col("price"), 15.0, 30.0), !Between(Col("price"), 15.0, 30.0),
-           Col("shipmode") == "MAIL", Col("shipmode") != "MAIL",
-           InStr(Col("shipmode"), {"MAIL", "AIR"}),
-           !InStr(Col("shipmode"), {"TRUCK"}),
-           Col("qty") >= 2u && Col("price") < 50.0}) {
-    pool.push_back(N(std::move(e)));
-  }
-  std::vector<std::vector<uint32_t>> rows;
-  rows.reserve(pool.size());
-  for (const Expr& e : pool) rows.push_back(Oracle(t, e));
-  size_t proofs = 0;
-  for (size_t i = 0; i < pool.size(); ++i) {
-    for (size_t j = 0; j < pool.size(); ++j) {
-      if (!ExprSubsumes(pool[i], pool[j])) continue;
-      ++proofs;
-      EXPECT_TRUE(IsSubset(rows[i], rows[j]))
-          << pool[i].ToString() << "  =>  " << pool[j].ToString();
-    }
-  }
-  // The pool is built to contain implications; a checker that never proves
-  // anything would pass the soundness sweep vacuously.
-  EXPECT_GT(proofs, pool.size());  // at least self-pairs plus real pairs
-}
-
-// The identity candidate-list sharing rests on: narrowing the weaker
-// filter's survivors by the stronger filter gives exactly the stronger
-// filter's survivors.
-TEST(ExprSubsumesTest, NarrowingEqualsDirectEvaluation) {
-  Table t = MakeItems(5000);
-  Chunk chunk = WholeTable(t);
-  struct Pair {
-    Expr strong, weak;
-  };
-  std::vector<Pair> pairs;
-  pairs.push_back({N(Col("qty") == 3u), N(Between(Col("qty"), 1, 4))});
-  pairs.push_back({N(Between(Col("price"), 15.0, 30.0)),
-                   N(Col("price") >= 12.0)});
-  pairs.push_back({N(Col("shipmode") == "MAIL"),
-                   N(InStr(Col("shipmode"), {"MAIL", "AIR"}))});
-  for (const Pair& p : pairs) {
-    ASSERT_TRUE(ExprSubsumes(p.strong, p.weak)) << p.strong.ToString();
-    auto weak_rows = EvalFilterPositions(chunk, p.weak, nullptr);
-    ASSERT_TRUE(weak_rows.ok());
-    auto narrowed =
-        NarrowFilterPositions(chunk, p.strong, *weak_rows, nullptr);
-    ASSERT_TRUE(narrowed.ok());
-    auto direct = EvalFilterPositions(chunk, p.strong, nullptr);
-    ASSERT_TRUE(direct.ok());
-    EXPECT_EQ(*narrowed, *direct) << p.strong.ToString();
-  }
-}
-
 // --- the filter cache behind SelectOp ----------------------------------------
 
 constexpr size_t kChunk = 1024;
@@ -258,13 +103,37 @@ size_t SelectRows(const Table& t, Expr filter, FilterCache* cache,
   return rows;
 }
 
-TEST(FilterCacheTest, EquivalentFiltersCopyTheCandidateList) {
+/// Table-wide survivor positions of `filter`, asked of `cache` chunk by
+/// chunk exactly as a Select over a ScanOp of `t` asks it.
+std::vector<uint32_t> CachedPositions(const Table& t, const Expr& filter,
+                                      FilterCache* cache) {
+  Expr normalized = OrderConjunctsBySelectivity(N(filter));
+  ScanOp scan(&t, kChunk);
+  CCDB_CHECK(scan.Open().ok());
+  std::vector<uint32_t> out;
+  Chunk chunk;
+  for (size_t index = 0;; ++index) {
+    auto more = scan.Next(&chunk);
+    CCDB_CHECK(more.ok());
+    if (!*more) break;
+    auto positions =
+        cache->Filter(t, kChunk, index, chunk, normalized, nullptr);
+    CCDB_CHECK(positions.ok());
+    for (uint32_t p : **positions) {
+      out.push_back(static_cast<uint32_t>(index * kChunk + p));
+    }
+  }
+  return out;
+}
+
+TEST(FilterCacheTest, EqualNormalizedFiltersShareTheCandidateList) {
   Table t = MakeItems(6 * kChunk);
   FilterCache cache;
-  // Same predicate, different syntax: a conjunction of bounds vs Between.
-  Expr f1 = Col("qty") >= 2u && Col("qty") <= 3u;
-  Expr f2 = Between(Col("qty"), 2, 3);
-  ASSERT_TRUE(ExprSubsumes(N(f1), N(f2)) && ExprSubsumes(N(f2), N(f1)));
+  // Different syntax, one normalized tree: De Morgan turns the negated
+  // disjunction into exactly the conjunction of bounds.
+  Expr f1 = !(Col("qty") < 2u || Col("qty") > 3u);
+  Expr f2 = Col("qty") >= 2u && Col("qty") <= 3u;
+  ASSERT_TRUE(N(f1) == N(f2));
   size_t expect = Oracle(t, N(f1)).size();
   EXPECT_EQ(SelectRows(t, f1, &cache), expect);
   EXPECT_EQ(SelectRows(t, f2, &cache), expect);
@@ -274,9 +143,73 @@ TEST(FilterCacheTest, EquivalentFiltersCopyTheCandidateList) {
   EXPECT_EQ(s.filter_narrowed, 0u);
 }
 
+// The cache matches trees, not meanings: equivalent filters that normalize
+// differently are each evaluated, and each returns exactly its own rows.
+TEST(FilterCacheTest, EquivalentFiltersWrittenDifferentlyEvaluateSeparately) {
+  Table t = MakeItems(6 * kChunk);
+  FilterCache cache;
+  Expr between = Between(Col("qty"), 2, 3);
+  Expr bounds = Col("qty") >= 2u && Col("qty") <= 3u;
+  std::vector<uint32_t> expect = Oracle(t, N(between));
+  ASSERT_EQ(expect, Oracle(t, N(bounds)));
+  EXPECT_EQ(CachedPositions(t, between, &cache), expect);
+  EXPECT_EQ(CachedPositions(t, bounds, &cache), expect);
+  FilterCache::Stats s = cache.stats();
+  EXPECT_EQ(s.filter_full_evals, 12u);  // both, once per chunk
+  EXPECT_EQ(s.filter_copied, 0u);
+  EXPECT_EQ(s.filter_narrowed, 0u);
+}
+
+// Literal type, the `negated` flag and the column are part of a filter's
+// identity: changing any one of them never reuses the other's list.
+TEST(FilterCacheTest, FiltersDifferingInOneFieldNeverShareAList) {
+  Table t = MakeItems(4 * kChunk);
+  Expr u32_eq = Col("qty") == 3u;
+  Expr i64_eq = u32_eq;
+  i64_eq.value = Literal::I64(3);  // same rows, evaluated widened
+  struct Pair {
+    const char* what;
+    Expr a, b;
+  };
+  std::vector<Pair> pairs;
+  pairs.push_back({"literal type", u32_eq, i64_eq});
+  pairs.push_back({"negated", Between(Col("qty"), 2, 3),
+                   !Between(Col("qty"), 2, 3)});
+  pairs.push_back({"column", Col("qty") == 3u, Col("order") == 3u});
+  for (const Pair& p : pairs) {
+    FilterCache cache;
+    EXPECT_FALSE(N(p.a) == N(p.b)) << p.what;
+    EXPECT_EQ(CachedPositions(t, p.a, &cache), Oracle(t, N(p.a))) << p.what;
+    EXPECT_EQ(CachedPositions(t, p.b, &cache), Oracle(t, N(p.b))) << p.what;
+    EXPECT_EQ(cache.stats().filter_full_evals, 8u) << p.what;
+    EXPECT_EQ(cache.stats().filter_copied, 0u) << p.what;
+  }
+}
+
+// A NaN literal equals nothing, itself included, so a NaN filter's lists
+// could never be found again. Stored, they would take every slot of the
+// table's cache for good (one new entry per chunk); it is evaluated but
+// never stored, and a later repeated filter is still cached.
+TEST(FilterCacheTest, NanLiteralFilterIsNeverStored) {
+  Table t = MakeItems(8 * kChunk);
+  FilterCache cache;
+  Expr nan_filter = Col("price") != std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(CachedPositions(t, nan_filter, &cache), Oracle(t, N(nan_filter)));
+  EXPECT_EQ(CachedPositions(t, nan_filter, &cache), Oracle(t, N(nan_filter)));
+  EXPECT_EQ(cache.stats().filter_full_evals, 16u);
+  EXPECT_EQ(cache.stats().filter_copied, 0u);
+
+  Expr repeated = Between(Col("qty"), 1, 4);
+  size_t expect = Oracle(t, N(repeated)).size();
+  EXPECT_EQ(SelectRows(t, repeated, &cache), expect);
+  EXPECT_EQ(SelectRows(t, repeated, &cache), expect);
+  EXPECT_EQ(cache.stats().filter_full_evals, 16u + 8);
+  EXPECT_EQ(cache.stats().filter_copied, 8u);
+}
+
 // A repeat query over unchanged data reuses the earlier candidate lists
-// instead of re-reading the column, and a later stronger filter narrows
-// them.
+// instead of re-reading the column; a later stronger filter is a filter
+// of its own and reads the column.
 TEST(FilterCacheTest, FilterCachePersistsAcrossQueries) {
   Table t = MakeItems(5 * kChunk);
   FilterCache cache;
@@ -296,10 +229,11 @@ TEST(FilterCacheTest, FilterCachePersistsAcrossQueries) {
   EXPECT_EQ(cache.stats().filter_full_evals, 5u);  // no new column reads
   EXPECT_EQ(cache.stats().filter_copied, 5u);
 
-  // Strictly stronger filter: narrowed from the cached survivors.
+  // Strictly stronger filter: evaluated in full.
   EXPECT_EQ(SelectRows(t, strong, &cache), expect_strong);
-  EXPECT_EQ(cache.stats().filter_full_evals, 5u);
-  EXPECT_EQ(cache.stats().filter_narrowed, 5u);
+  EXPECT_EQ(cache.stats().filter_full_evals, 10u);
+  EXPECT_EQ(cache.stats().filter_copied, 5u);
+  EXPECT_EQ(cache.stats().filter_narrowed, 0u);
 }
 
 TEST(FilterCacheTest, FilterCacheInvalidatedByDataVersionAndChunking) {
@@ -396,7 +330,7 @@ TEST(FilterCacheTest, EmptyTableEmitsOneEmptyChunk) {
 TEST(FilterCacheTest, NinthDistinctFilterBypassesTheCache) {
   Table t = MakeItems(4 * kChunk);
   FilterCache cache;
-  // `order == k` for distinct k: no filter subsumes another.
+  // `order == k` for distinct k: no two filters are equal.
   auto filter = [](uint32_t k) { return Col("order") == k; };
   for (uint32_t k = 0; k < FilterCache::kMaxFiltersPerTable; ++k) {
     EXPECT_EQ(SelectRows(t, filter(k), &cache), 3u);
@@ -424,8 +358,8 @@ void ExpectSameResult(const QueryResult& a, const QueryResult& b,
   }
 }
 
-/// K analytic plans over one table: overlapping filters (two in a
-/// subsumption relation), one unfiltered, all with a canonical output
+/// K analytic plans over one table: overlapping filters (one implying
+/// another, which the cache keeps apart), one unfiltered, all with a canonical output
 /// order so results compare byte-identically across parallelism.
 std::vector<LogicalPlan> MakeWorkload(const Table& t) {
   std::vector<LogicalPlan> plans;
@@ -439,7 +373,7 @@ std::vector<LogicalPlan> MakeWorkload(const Table& t) {
     plans.push_back(*std::move(p));
   };
   build(Between(Col("qty"), 1, 4));
-  build(Col("qty") == 3u);  // subsumed by the filter above
+  build(Col("qty") == 3u);  // implies the filter above
   build(Col("shipmode") == "MAIL");
   build(std::nullopt);  // unfiltered
   return plans;
@@ -629,7 +563,7 @@ TEST(SharedScanExecTest, NonScanSelectAndNinthFilterBypassTheCache) {
                        .Build();
   ASSERT_TRUE(over_join.ok());
   plans.push_back(*std::move(over_join));
-  // Nine mutually non-subsuming scan filters: the ninth is not stored.
+  // Nine distinct scan filters: the ninth is not stored.
   for (uint32_t k = 0; k <= FilterCache::kMaxFiltersPerTable; ++k) {
     auto p = QueryBuilder(items)
                  .Filter(Between(Col("order"), 100 * k, 100 * k + 49))
