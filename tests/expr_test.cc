@@ -442,6 +442,307 @@ TEST(ExprExecTest, FilterKeepsColumnsLazy) {
   EXPECT_GT(rows, 0u);
 }
 
+// --- filter-path matrix ------------------------------------------------------
+// Every leaf kind against a plain-loop oracle, on every column shape the
+// filter walk distinguishes, at every position a leaf can take in a tree,
+// at parallelism {1, 2, 8}. 16384-row chunks make the leaf passes split into
+// several morsels at parallelism > 1, on the whole chunk and on the 90%
+// survivor list the anchor conjunct leaves.
+
+constexpr size_t kMatrixRows = 20000;
+constexpr size_t kMatrixChunk = 16384;
+constexpr uint32_t kMatrixGroups = 400;
+
+// id = row (unique); a = 1 on every tenth row, so the anchor `a == 0` keeps
+// 90% and is a function of g; v spreads over [0, 100]; w is a signed i64;
+// x is f64 with a NaN on every 13th row; s cycles five strings.
+uint32_t MatrixA(size_t i) { return i % 10 == 9 ? 1u : 0u; }
+uint32_t MatrixG(size_t i) { return static_cast<uint32_t>(i % kMatrixGroups); }
+uint32_t MatrixV(size_t i) { return static_cast<uint32_t>((i * 7919) % 101); }
+int64_t MatrixW(size_t i) {
+  return static_cast<int64_t>((i * 37) % 1000) - 500;
+}
+double MatrixX(size_t i) {
+  return i % 13 == 0 ? std::numeric_limits<double>::quiet_NaN()
+                     : static_cast<double>((i * 31) % 97) + 0.5;
+}
+const char* MatrixS(size_t i) {
+  static const char* const kModes[] = {"MAIL", "AIR", "TRUCK", "SHIP", "RAIL"};
+  return kModes[(i / 3) % 5];
+}
+
+RowStore MakeMatrixRows() {
+  auto rs = RowStore::Make({{"id", FieldType::kU32},
+                            {"a", FieldType::kU32},
+                            {"g", FieldType::kU32},
+                            {"v", FieldType::kU32},
+                            {"w", FieldType::kI64},
+                            {"x", FieldType::kF64},
+                            {"s", FieldType::kChar10}},
+                           kMatrixRows);
+  CCDB_CHECK(rs.ok());
+  for (size_t i = 0; i < kMatrixRows; ++i) {
+    size_t r = *rs->AppendRow();
+    rs->SetU32(r, 0, static_cast<uint32_t>(i));
+    rs->SetU32(r, 1, MatrixA(i));
+    rs->SetU32(r, 2, MatrixG(i));
+    rs->SetU32(r, 3, MatrixV(i));
+    rs->SetI64(r, 4, MatrixW(i));
+    rs->SetF64(r, 5, MatrixX(i));
+    rs->SetBytes(r, 6, MatrixS(i), strlen(MatrixS(i)));
+  }
+  return *std::move(rs);
+}
+
+template <typename T>
+bool CmpHolds(CmpOp op, T v, T x) {
+  switch (op) {
+    case CmpOp::kEq: return v == x;
+    case CmpOp::kNe: return v != x;
+    case CmpOp::kLt: return v < x;
+    case CmpOp::kLe: return v <= x;
+    case CmpOp::kGt: return v > x;
+    case CmpOp::kGe: return v >= x;
+  }
+  return false;
+}
+
+template <typename V>
+Expr CmpExpr(const char* col, CmpOp op, V x) {
+  switch (op) {
+    case CmpOp::kEq: return Col(col) == x;
+    case CmpOp::kNe: return Col(col) != x;
+    case CmpOp::kLt: return Col(col) < x;
+    case CmpOp::kLe: return Col(col) <= x;
+    case CmpOp::kGt: return Col(col) > x;
+    case CmpOp::kGe: return Col(col) >= x;
+  }
+  return Expr{};
+}
+
+constexpr CmpOp kAllCmpOps[] = {CmpOp::kEq, CmpOp::kNe, CmpOp::kLt,
+                                CmpOp::kLe, CmpOp::kGt, CmpOp::kGe};
+
+/// One leaf and its oracle, indexed by row (or, under Having, by group).
+struct MatrixLeaf {
+  std::string name;
+  Expr expr;
+  std::function<bool(size_t)> holds;
+};
+
+/// Cmp with every CmpOp, Between, negated Between and (for integral
+/// columns) InU32 / negated InU32, on an integral value column.
+std::vector<MatrixLeaf> IntegralLeaves(const char* col,
+                                       std::function<int64_t(size_t)> val,
+                                       uint32_t x, uint32_t lo, uint32_t hi,
+                                       std::vector<uint32_t> in) {
+  std::vector<MatrixLeaf> out;
+  for (CmpOp op : kAllCmpOps) {
+    out.push_back({std::string(col) + " cmp" + std::to_string(int(op)),
+                   CmpExpr(col, op, x), [=](size_t i) {
+                     return CmpHolds<int64_t>(op, val(i), x);
+                   }});
+  }
+  out.push_back({std::string(col) + " between", Between(Col(col), lo, hi),
+                 [=](size_t i) { return lo <= val(i) && val(i) <= hi; }});
+  out.push_back({std::string(col) + " not between",
+                 !Between(Col(col), lo, hi),
+                 [=](size_t i) { return !(lo <= val(i) && val(i) <= hi); }});
+  auto member = [=](size_t i) {
+    return std::find(in.begin(), in.end(), val(i)) != in.end();
+  };
+  out.push_back({std::string(col) + " in", InU32(Col(col), in), member});
+  out.push_back({std::string(col) + " not in", !InU32(Col(col), in),
+                 [=](size_t i) { return !member(i); }});
+  return out;
+}
+
+/// Leaves with i64 (wide or negative) literals on an integral column: they
+/// compare widened, never wrapped into the u32 domain.
+std::vector<MatrixLeaf> WideLiteralLeaves(const char* col,
+                                          std::function<int64_t(size_t)> val,
+                                          long long lo, long long hi) {
+  std::vector<MatrixLeaf> out;
+  for (long long x : {-3LL, 5'000'000'000LL}) {
+    for (CmpOp op : kAllCmpOps) {
+      out.push_back({std::string(col) + " cmp" + std::to_string(int(op)) +
+                         " " + std::to_string(x),
+                     CmpExpr(col, op, x), [=](size_t i) {
+                       return CmpHolds<int64_t>(op, val(i), x);
+                     }});
+    }
+  }
+  out.push_back({std::string(col) + " wide between", Between(Col(col), lo, hi),
+                 [=](size_t i) { return lo <= val(i) && val(i) <= hi; }});
+  out.push_back({std::string(col) + " wide not between",
+                 !Between(Col(col), lo, hi),
+                 [=](size_t i) { return !(lo <= val(i) && val(i) <= hi); }});
+  return out;
+}
+
+/// Cmp with every CmpOp, Between and negated Between on an f64 column, with
+/// IEEE oracles: NaN fails every ordering and both range forms, `!=` holds.
+std::vector<MatrixLeaf> F64Leaves(const char* col,
+                                  std::function<double(size_t)> val, double x,
+                                  double lo, double hi) {
+  std::vector<MatrixLeaf> out;
+  for (CmpOp op : kAllCmpOps) {
+    out.push_back({std::string(col) + " cmp" + std::to_string(int(op)),
+                   CmpExpr(col, op, x),
+                   [=](size_t i) { return CmpHolds<double>(op, val(i), x); }});
+  }
+  out.push_back({std::string(col) + " between", Between(Col(col), lo, hi),
+                 [=](size_t i) { return lo <= val(i) && val(i) <= hi; }});
+  out.push_back({std::string(col) + " not between",
+                 !Between(Col(col), lo, hi),
+                 [=](size_t i) { return val(i) < lo || val(i) > hi; }});
+  return out;
+}
+
+std::vector<MatrixLeaf> StrLeaves() {
+  auto is = [](size_t i, const char* m) {
+    return std::strcmp(MatrixS(i), m) == 0;
+  };
+  auto in = [=](size_t i) { return is(i, "AIR") || is(i, "SHIP"); };
+  return {
+      {"s eq", Col("s") == "AIR", [=](size_t i) { return is(i, "AIR"); }},
+      {"s ne", Col("s") != "AIR", [=](size_t i) { return !is(i, "AIR"); }},
+      {"s eq unknown", Col("s") == "PIGEON", [](size_t) { return false; }},
+      {"s in", InStr(Col("s"), {"SHIP", "AIR", "XXX"}), in},
+      {"s not in", !InStr(Col("s"), {"SHIP", "AIR", "XXX"}),
+       [=](size_t i) { return !in(i); }},
+  };
+}
+
+/// Runs each leaf as the first conjunct, as a later conjunct, and inside
+/// an Or under an And, at parallelism {1, 2, 8}, and compares the sorted
+/// `key` column of the result with the oracle over keys [0, universe).
+/// `anchor(k)` is the oracle of `a == 0`.
+void CheckFilterMatrix(const std::string& shape,
+                       const std::function<StatusOr<LogicalPlan>(Expr)>& plan,
+                       const char* key, size_t universe,
+                       const std::function<bool(size_t)>& anchor,
+                       const std::vector<MatrixLeaf>& leaves) {
+  struct Position {
+    const char* name;
+    std::function<Expr(const Expr&)> wrap;
+    std::function<bool(bool, size_t)> holds;
+  };
+  // Or ranks after every leaf and an equality before every other leaf
+  // (OrderConjunctsBySelectivity is stable), so these positions hold
+  // after conjunct ordering.
+  const Position positions[] = {
+      {"first conjunct",
+       [&](const Expr& l) { return l && (Col("a") == 0u || Col(key) < 100u); },
+       [&](bool l, size_t k) { return l && (anchor(k) || k < 100); }},
+      {"later conjunct", [](const Expr& l) { return Col("a") == 0u && l; },
+       [&](bool l, size_t k) { return anchor(k) && l; }},
+      {"or under and",
+       [&](const Expr& l) { return Col("a") == 0u && (l || Col(key) < 100u); },
+       [&](bool l, size_t k) { return anchor(k) && (l || k < 100); }},
+  };
+  for (const MatrixLeaf& leaf : leaves) {
+    for (const Position& pos : positions) {
+      std::vector<uint32_t> expect;
+      for (size_t k = 0; k < universe; ++k) {
+        if (pos.holds(leaf.holds(k), k)) {
+          expect.push_back(static_cast<uint32_t>(k));
+        }
+      }
+      auto built = plan(pos.wrap(leaf.expr));
+      ASSERT_TRUE(built.ok()) << shape << " / " << leaf.name << ": "
+                              << built.status().ToString();
+      for (size_t par : {1u, 2u, 8u}) {
+        std::string what = shape + " / " + leaf.name + " / " + pos.name +
+                           " / par " + std::to_string(par);
+        QueryResult r = RunPlan(*built, par, kMatrixChunk);
+        auto kc = r.ColumnIndex(key);
+        ASSERT_TRUE(kc.ok()) << what;
+        std::vector<uint32_t> got = r.columns[*kc].u32_values;
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, expect) << what;
+      }
+    }
+  }
+}
+
+TEST(ExprExecTest, FilterPathMatrixMatchesOracle) {
+  RowStore rows = MakeMatrixRows();
+  Table encoded = *Table::FromRowStore(rows);
+  Table raw = *Table::FromRowStore(rows, /*auto_encode=*/false);
+  ASSERT_TRUE(encoded.is_encoded(6));
+  ASSERT_FALSE(raw.is_encoded(6));
+  auto dim_rs = RowStore::Make({{"did", FieldType::kU32}}, kMatrixRows);
+  ASSERT_TRUE(dim_rs.ok());
+  for (size_t i = 0; i < kMatrixRows; ++i) {
+    dim_rs->SetU32(*dim_rs->AppendRow(), 0, static_cast<uint32_t>(i));
+  }
+  Table dim = *Table::FromRowStore(*dim_rs);
+
+  auto scan_of = [](const Table& t) {
+    return [&t](Expr e) { return QueryBuilder(t).Filter(std::move(e)).Build(); };
+  };
+  auto row_anchor = [](size_t i) { return MatrixA(i) == 0; };
+  auto v = [](size_t i) { return static_cast<int64_t>(MatrixV(i)); };
+
+  // Lazy u32 over dense candidates, and the same leaves through the oid
+  // lists a join leaves behind.
+  auto u32_leaves = IntegralLeaves("v", v, 50, 20, 60, {3, 50, 77, 100});
+  CheckFilterMatrix("lazy u32 dense", scan_of(encoded), "id", kMatrixRows,
+                    row_anchor, u32_leaves);
+  CheckFilterMatrix(
+      "lazy u32 post-join",
+      [&](Expr e) {
+        return QueryBuilder(encoded)
+            .Join(dim, "id", "did")
+            .Filter(std::move(e))
+            .Build();
+      },
+      "id", kMatrixRows, row_anchor, u32_leaves);
+  // Wide literals on u32, and a lazy i64 column: the gather paths.
+  CheckFilterMatrix("i64 literal on u32", scan_of(encoded), "id", kMatrixRows,
+                    row_anchor, WideLiteralLeaves("v", v, -5, 50));
+  auto w_leaves = IntegralLeaves("w", MatrixW, 100, 10, 300, {0, 5, 100, 499});
+  auto w_wide = WideLiteralLeaves("w", MatrixW, -100, 100);
+  w_leaves.insert(w_leaves.end(), w_wide.begin(), w_wide.end());
+  CheckFilterMatrix("lazy i64", scan_of(encoded), "id", kMatrixRows,
+                    row_anchor, w_leaves);
+  CheckFilterMatrix("lazy f64 with NaN", scan_of(encoded), "id", kMatrixRows,
+                    row_anchor, F64Leaves("x", MatrixX, 40.5, 20.0, 60.0));
+  CheckFilterMatrix("encoded str", scan_of(encoded), "id", kMatrixRows,
+                    row_anchor, StrLeaves());
+  CheckFilterMatrix("raw str", scan_of(raw), "id", kMatrixRows, row_anchor,
+                    StrLeaves());
+
+  // Owned i64 sums and f64 averages under Having, one oracle row per group.
+  std::vector<int64_t> sums(kMatrixGroups, 0), counts(kMatrixGroups, 0);
+  for (size_t i = 0; i < kMatrixRows; ++i) {
+    sums[MatrixG(i)] += MatrixV(i);
+    counts[MatrixG(i)] += 1;
+  }
+  auto sum = [sums](size_t g) { return sums[g]; };
+  auto avg = [sums, counts](size_t g) {
+    return static_cast<double>(sums[g]) / static_cast<double>(counts[g]);
+  };
+  auto group_anchor = [](size_t g) { return MatrixA(g) == 0; };
+  auto having = [&](Expr e) {
+    return QueryBuilder(encoded)
+        .GroupByAgg({"g", "a"}, {Agg::Sum("v"), Agg::Avg("v")})
+        .Having(std::move(e))
+        .Build();
+  };
+  const uint32_t s7 = static_cast<uint32_t>(sums[7]);
+  auto sum_leaves = IntegralLeaves(
+      "sum", sum, s7, s7 - 300, s7 + 300,
+      {static_cast<uint32_t>(sums[3]), s7, static_cast<uint32_t>(sums[11])});
+  auto sum_wide = WideLiteralLeaves("sum", sum, -100, s7);
+  sum_leaves.insert(sum_leaves.end(), sum_wide.begin(), sum_wide.end());
+  CheckFilterMatrix("owned i64 (having)", having, "g", kMatrixGroups,
+                    group_anchor, sum_leaves);
+  CheckFilterMatrix("owned f64 (having)", having, "g", kMatrixGroups,
+                    group_anchor, F64Leaves("avg", avg, avg(7), 45.0, 55.0));
+}
+
 TEST(ExprExecTest, DirectSelectOpTypeMismatchIsLoud) {
   // SelectOp composed directly bypasses Build() validation; a literal whose
   // domain doesn't match the column must surface InvalidArgument, never
