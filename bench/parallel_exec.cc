@@ -431,7 +431,12 @@ int main(int argc, char** argv) {
                    i + 1 < cluster_points.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
+    // A failed write must fail the run, not leave a truncated artifact.
+    bool wrote = std::ferror(f) == 0;
+    if (std::fclose(f) != 0 || !wrote) {
+      std::fprintf(stderr, "failed writing %s\n", json_path.c_str());
+      return 1;
+    }
     std::printf("\nwrote %s\n", json_path.c_str());
   }
   if (task_violations > 0) {

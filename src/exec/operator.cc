@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <functional>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 
 #include "algo/bat_algebra.h"
 #include "algo/partitioned_hash_join.h"
@@ -117,17 +119,77 @@ std::span<const oid_t> OidSpan(const Candidates& c) {
   return {c.oids->data(), c.oids->size()};
 }
 
+/// Physical types that hold u32 values directly (the select kernels' and
+/// GatherU32's domain).
+bool U32Tail(PhysType t) {
+  return t == PhysType::kVoid || t == PhysType::kU8 || t == PhysType::kU16 ||
+         t == PhysType::kU32;
+}
+
 Status RequireIntegral(const Column& tail, const char* what) {
-  switch (tail.type()) {
-    case PhysType::kVoid:
-    case PhysType::kU8:
-    case PhysType::kU16:
-    case PhysType::kU32:
-      return Status::Ok();
+  if (U32Tail(tail.type())) return Status::Ok();
+  return Status::InvalidArgument(std::string(what) +
+                                 " requires an integral column, got " +
+                                 PhysTypeName(tail.type()));
+}
+
+// --- value-type dispatch -----------------------------------------------------
+// Per-type operator bodies (take, concat, materialize, null-extend, sort
+// keys, per-value filter) are generic lambdas called through
+// VisitValueType with the C++ type that holds the column's values.
+
+/// Calls `body(T{})` for the value type T of logical column type `t`
+/// (Chunk::TypeOf; owned columns only ever hold these four): uint32_t,
+/// int64_t, double or std::string.
+template <class Body>
+auto VisitValueType(PhysType t, Body&& body) -> decltype(body(uint32_t{})) {
+  switch (t) {
+    case PhysType::kU32: return body(uint32_t{});
+    case PhysType::kI64: return body(int64_t{});
+    case PhysType::kF64: return body(double{});
+    case PhysType::kStr: return body(std::string{});
     default:
-      return Status::InvalidArgument(std::string(what) +
-                                     " requires an integral column, got " +
-                                     PhysTypeName(tail.type()));
+      return Status::Internal(std::string("unexpected column type ") +
+                              PhysTypeName(t));
+  }
+}
+
+/// Chunk column `c` gathered as T.
+template <class T>
+StatusOr<std::vector<T>> GatherAs(const Chunk& chunk, size_t c) {
+  if constexpr (std::is_same_v<T, uint32_t>) {
+    return chunk.GatherU32(c);
+  } else if constexpr (std::is_same_v<T, int64_t>) {
+    return chunk.GatherI64(c);
+  } else if constexpr (std::is_same_v<T, double>) {
+    return chunk.GatherF64(c);
+  } else {
+    return chunk.GatherStr(c);
+  }
+}
+
+/// An owned column holding `v`.
+template <class T>
+Column MakeColumn(const std::vector<T>& v) {
+  if constexpr (std::is_same_v<T, uint32_t>) {
+    return Column::U32(v);
+  } else if constexpr (std::is_same_v<T, int64_t>) {
+    return Column::I64(v);
+  } else if constexpr (std::is_same_v<T, double>) {
+    return Column::F64(v);
+  } else {
+    return Column::Str(v);
+  }
+}
+
+/// Element reader for an owned column holding T: `at(i)` is the value, or a
+/// string_view for strings.
+template <class T>
+auto OwnedReader(const Column& col) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return [&col](size_t i) { return col.GetStr(i); };
+  } else {
+    return [s = col.Span<T>()](size_t i) { return s[i]; };
   }
 }
 
@@ -246,37 +308,13 @@ namespace {
 
 StatusOr<Column> TakeOwned(const Column& col,
                            std::span<const uint32_t> positions) {
-  switch (col.type()) {
-    case PhysType::kU32: {
-      auto s = col.Span<uint32_t>();
-      std::vector<uint32_t> out(positions.size());
-      for (size_t i = 0; i < positions.size(); ++i) out[i] = s[positions[i]];
-      return Column::U32(std::move(out));
-    }
-    case PhysType::kI64: {
-      auto s = col.Span<int64_t>();
-      std::vector<int64_t> out(positions.size());
-      for (size_t i = 0; i < positions.size(); ++i) out[i] = s[positions[i]];
-      return Column::I64(std::move(out));
-    }
-    case PhysType::kF64: {
-      auto s = col.Span<double>();
-      std::vector<double> out(positions.size());
-      for (size_t i = 0; i < positions.size(); ++i) out[i] = s[positions[i]];
-      return Column::F64(std::move(out));
-    }
-    case PhysType::kStr: {
-      std::vector<std::string> out(positions.size());
-      for (size_t i = 0; i < positions.size(); ++i) {
-        out[i] = std::string(col.GetStr(positions[i]));
-      }
-      return Column::Str(out);
-    }
-    default:
-      return Status::InvalidArgument(
-          std::string("cannot take from owned column of type ") +
-          PhysTypeName(col.type()));
-  }
+  return VisitValueType(col.type(), [&](auto tag) -> StatusOr<Column> {
+    using T = decltype(tag);
+    auto at = OwnedReader<T>(col);
+    std::vector<T> out(positions.size());
+    for (size_t i = 0; i < positions.size(); ++i) out[i] = T(at(positions[i]));
+    return MakeColumn(out);
+  });
 }
 
 }  // namespace
@@ -306,30 +344,23 @@ StatusOr<Chunk> Chunk::Take(std::span<const uint32_t> positions) const {
 }
 
 Status Chunk::AppendTo(size_t c, MaterializedColumn* out) const {
-  switch (TypeOf(c)) {
-    case PhysType::kU32: {
-      CCDB_ASSIGN_OR_RETURN(std::vector<uint32_t> v, GatherU32(c));
-      out->u32_values.insert(out->u32_values.end(), v.begin(), v.end());
-      return Status::Ok();
+  return VisitValueType(TypeOf(c), [&](auto tag) -> Status {
+    using T = decltype(tag);
+    CCDB_ASSIGN_OR_RETURN(std::vector<T> v, GatherAs<T>(*this, c));
+    std::vector<T>* dst;
+    if constexpr (std::is_same_v<T, uint32_t>) {
+      dst = &out->u32_values;
+    } else if constexpr (std::is_same_v<T, int64_t>) {
+      dst = &out->i64_values;
+    } else if constexpr (std::is_same_v<T, double>) {
+      dst = &out->f64_values;
+    } else {
+      dst = &out->str_values;
     }
-    case PhysType::kI64: {
-      CCDB_ASSIGN_OR_RETURN(std::vector<int64_t> v, GatherI64(c));
-      out->i64_values.insert(out->i64_values.end(), v.begin(), v.end());
-      return Status::Ok();
-    }
-    case PhysType::kF64: {
-      CCDB_ASSIGN_OR_RETURN(std::vector<double> v, GatherF64(c));
-      out->f64_values.insert(out->f64_values.end(), v.begin(), v.end());
-      return Status::Ok();
-    }
-    case PhysType::kStr: {
-      CCDB_ASSIGN_OR_RETURN(std::vector<std::string> v, GatherStr(c));
-      for (auto& s : v) out->str_values.push_back(std::move(s));
-      return Status::Ok();
-    }
-    default:
-      return Status::Internal("unexpected chunk column type");
-  }
+    dst->insert(dst->end(), std::make_move_iterator(v.begin()),
+                std::make_move_iterator(v.end()));
+    return Status::Ok();
+  });
 }
 
 StatusOr<Chunk> ConcatChunks(std::vector<Chunk> chunks) {
@@ -360,52 +391,20 @@ StatusOr<Chunk> ConcatChunks(std::vector<Chunk> chunks) {
   for (size_t ci = 0; ci < first.cols.size(); ++ci) {
     ChunkColumn col = first.cols[ci];
     if (!col.lazy()) {
-      // Concatenate owned columns by type.
-      switch (col.owned->type()) {
-        case PhysType::kU32: {
-          std::vector<uint32_t> v;
-          v.reserve(out.rows);
-          for (const Chunk& c : chunks) {
-            auto s = c.cols[ci].owned->Span<uint32_t>();
-            v.insert(v.end(), s.begin(), s.end());
-          }
-          col.owned = std::make_shared<const Column>(Column::U32(std::move(v)));
-          break;
-        }
-        case PhysType::kI64: {
-          std::vector<int64_t> v;
-          v.reserve(out.rows);
-          for (const Chunk& c : chunks) {
-            auto s = c.cols[ci].owned->Span<int64_t>();
-            v.insert(v.end(), s.begin(), s.end());
-          }
-          col.owned = std::make_shared<const Column>(Column::I64(std::move(v)));
-          break;
-        }
-        case PhysType::kF64: {
-          std::vector<double> v;
-          v.reserve(out.rows);
-          for (const Chunk& c : chunks) {
-            auto s = c.cols[ci].owned->Span<double>();
-            v.insert(v.end(), s.begin(), s.end());
-          }
-          col.owned = std::make_shared<const Column>(Column::F64(std::move(v)));
-          break;
-        }
-        case PhysType::kStr: {
-          std::vector<std::string> v;
-          v.reserve(out.rows);
-          for (const Chunk& c : chunks) {
-            for (size_t i = 0; i < c.cols[ci].owned->size(); ++i) {
-              v.emplace_back(c.cols[ci].owned->GetStr(i));
+      auto cat = VisitValueType(
+          col.owned->type(), [&](auto tag) -> StatusOr<Column> {
+            using T = decltype(tag);
+            std::vector<T> v;
+            v.reserve(out.rows);
+            for (const Chunk& c : chunks) {
+              const Column& part = *c.cols[ci].owned;
+              auto at = OwnedReader<T>(part);
+              for (size_t i = 0; i < part.size(); ++i) v.emplace_back(at(i));
             }
-          }
-          col.owned = std::make_shared<const Column>(Column::Str(v));
-          break;
-        }
-        default:
-          return Status::InvalidArgument("ConcatChunks: unsupported owned type");
-      }
+            return MakeColumn(v);
+          });
+      if (!cat.ok()) return cat.status();
+      col.owned = std::make_shared<const Column>(*std::move(cat));
     }
     out.cols.push_back(std::move(col));
   }
@@ -470,105 +469,84 @@ void SelectOp::Close() { child_->Close(); }
 
 namespace {
 
-// --- leaf matchers (span / gather fallback paths) ---------------------------
+// --- leaf matchers -----------------------------------------------------------
 // Direct evaluation of one normalized expression leaf against a typed
 // value. f64 comparisons are IEEE: NaN fails every ordering and range test
 // (including "not in [lo, hi]", which is v < lo || v > hi) while != is
 // true for NaN.
 
-bool MatchI64(const Expr& leaf, int64_t v);
-
-bool MatchU32(const Expr& leaf, uint32_t v) {
-  // Wide (i64) literals on a u32 column evaluate widened: `v < 2^40` must
-  // be true for every u32 value, not wrap.
-  if ((leaf.kind == Expr::Kind::kCmp &&
-       leaf.value.type == Literal::Type::kI64) ||
-      (leaf.kind == Expr::Kind::kBetween &&
-       leaf.lo.type == Literal::Type::kI64)) {
-    return MatchI64(leaf, static_cast<int64_t>(v));
-  }
+/// Literal domain a leaf compares on: kU32 (including dictionary codes for
+/// string literals on encoded columns), kI64, kF64, or kStr.
+Literal::Type LeafLiteralType(const Expr& leaf) {
   switch (leaf.kind) {
-    case Expr::Kind::kCmp: {
-      uint32_t x = leaf.value.u32;
-      switch (leaf.cmp) {
-        case CmpOp::kEq: return v == x;
-        case CmpOp::kNe: return v != x;
-        case CmpOp::kLt: return v < x;
-        case CmpOp::kLe: return v <= x;
-        case CmpOp::kGt: return v > x;
-        case CmpOp::kGe: return v >= x;
-      }
-      return false;
-    }
-    case Expr::Kind::kBetween:
-      return (leaf.lo.u32 <= v && v <= leaf.hi.u32) != leaf.negated;
+    case Expr::Kind::kCmp: return leaf.value.type;
+    case Expr::Kind::kBetween: return leaf.lo.type;
     case Expr::Kind::kIn:
-      return std::binary_search(leaf.in_u32.begin(), leaf.in_u32.end(), v) !=
-             leaf.negated;
-    default:
-      return false;
+      return leaf.in_str.empty() ? Literal::Type::kU32 : Literal::Type::kStr;
+    default: return Literal::Type::kU32;
   }
 }
 
-bool MatchI64(const Expr& leaf, int64_t v) {
-  switch (leaf.kind) {
-    case Expr::Kind::kCmp: {
-      int64_t x = leaf.value.type == Literal::Type::kI64
-                      ? leaf.value.i64
-                      : static_cast<int64_t>(leaf.value.u32);
-      switch (leaf.cmp) {
-        case CmpOp::kEq: return v == x;
-        case CmpOp::kNe: return v != x;
-        case CmpOp::kLt: return v < x;
-        case CmpOp::kLe: return v <= x;
-        case CmpOp::kGt: return v > x;
-        case CmpOp::kGe: return v >= x;
-      }
-      return false;
+template <class T>
+bool Compare(CmpOp op, T v, T x) {
+  switch (op) {
+    case CmpOp::kEq: return v == x;
+    case CmpOp::kNe: return v != x;
+    case CmpOp::kLt: return v < x;
+    case CmpOp::kLe: return v <= x;
+    case CmpOp::kGt: return v > x;
+    case CmpOp::kGe: return v >= x;
+  }
+  return false;
+}
+
+/// `lit` as a value of a T column; u32 literals widen on i64 columns.
+template <class T>
+T LiteralAs(const Literal& lit) {
+  if constexpr (std::is_same_v<T, double>) {
+    return lit.f64;
+  } else if constexpr (std::is_same_v<T, int64_t>) {
+    return lit.type == Literal::Type::kI64 ? lit.i64
+                                           : static_cast<int64_t>(lit.u32);
+  } else {
+    return lit.u32;
+  }
+}
+
+/// Matches a u32, i64 or f64 value.
+template <class T>
+  requires std::is_arithmetic_v<T>
+bool MatchValue(const Expr& leaf, T v) {
+  if constexpr (std::is_same_v<T, uint32_t>) {
+    // Wide (i64) literals on a u32 column evaluate widened: `v < 2^40` must
+    // be true for every u32 value, not wrap.
+    if (LeafLiteralType(leaf) == Literal::Type::kI64) {
+      return MatchValue(leaf, static_cast<int64_t>(v));
     }
+  }
+  switch (leaf.kind) {
+    case Expr::Kind::kCmp:
+      return Compare(leaf.cmp, v, LiteralAs<T>(leaf.value));
     case Expr::Kind::kBetween: {
-      int64_t lo = leaf.lo.type == Literal::Type::kI64
-                       ? leaf.lo.i64
-                       : static_cast<int64_t>(leaf.lo.u32);
-      int64_t hi = leaf.hi.type == Literal::Type::kI64
-                       ? leaf.hi.i64
-                       : static_cast<int64_t>(leaf.hi.u32);
-      return (lo <= v && v <= hi) != leaf.negated;
+      T lo = LiteralAs<T>(leaf.lo), hi = LiteralAs<T>(leaf.hi);
+      return leaf.negated ? v < lo || v > hi : lo <= v && v <= hi;
     }
-    case Expr::Kind::kIn: {
-      bool found = v >= 0 && v <= static_cast<int64_t>(UINT32_MAX) &&
-                   std::binary_search(leaf.in_u32.begin(), leaf.in_u32.end(),
-                                      static_cast<uint32_t>(v));
-      return found != leaf.negated;
-    }
-    default:
-      return false;
-  }
-}
-
-bool MatchF64(const Expr& leaf, double v) {
-  switch (leaf.kind) {
-    case Expr::Kind::kCmp: {
-      double x = leaf.value.f64;
-      switch (leaf.cmp) {
-        case CmpOp::kEq: return v == x;
-        case CmpOp::kNe: return v != x;
-        case CmpOp::kLt: return v < x;
-        case CmpOp::kLe: return v <= x;
-        case CmpOp::kGt: return v > x;
-        case CmpOp::kGe: return v >= x;
+    case Expr::Kind::kIn:
+      if constexpr (std::is_same_v<T, double>) {
+        return false;  // f64 In-lists are rejected at Build() time
+      } else {
+        bool found = std::in_range<uint32_t>(v) &&
+                     std::binary_search(leaf.in_u32.begin(),
+                                        leaf.in_u32.end(),
+                                        static_cast<uint32_t>(v));
+        return found != leaf.negated;
       }
-      return false;
-    }
-    case Expr::Kind::kBetween:
-      if (!leaf.negated) return leaf.lo.f64 <= v && v <= leaf.hi.f64;
-      return v < leaf.lo.f64 || v > leaf.hi.f64;
     default:
-      return false;  // f64 In-lists are rejected at Build() time
+      return false;
   }
 }
 
-bool MatchStr(const Expr& leaf, std::string_view v) {
+bool MatchValue(const Expr& leaf, std::string_view v) {
   switch (leaf.kind) {
     case Expr::Kind::kCmp:
       return leaf.cmp == CmpOp::kEq ? v == leaf.value.str
@@ -581,19 +559,34 @@ bool MatchStr(const Expr& leaf, std::string_view v) {
   }
 }
 
-// --- leaf lowering to u32 range sets (kernel path) --------------------------
-
-/// Literal domain a leaf compares on: kU32 (including dictionary codes for
-/// string literals on encoded columns), kF64, or kStr.
-Literal::Type LeafLiteralType(const Expr& leaf) {
-  switch (leaf.kind) {
-    case Expr::Kind::kCmp: return leaf.value.type;
-    case Expr::Kind::kBetween: return leaf.lo.type;
-    case Expr::Kind::kIn:
-      return leaf.in_str.empty() ? Literal::Type::kU32 : Literal::Type::kStr;
-    default: return Literal::Type::kU32;
+/// Rejects a leaf whose literal domain does not match column type
+/// `col_type` (Chunk::TypeOf).
+Status CheckLeafDomain(PhysType col_type, const Expr& leaf) {
+  Literal::Type lt = LeafLiteralType(leaf);
+  bool ok = false;
+  switch (col_type) {
+    case PhysType::kU32:
+    case PhysType::kI64:
+      ok = lt == Literal::Type::kU32 || lt == Literal::Type::kI64;
+      break;
+    case PhysType::kF64:
+      ok = lt == Literal::Type::kF64;
+      break;
+    case PhysType::kStr:
+      ok = lt == Literal::Type::kStr;
+      break;
+    default:
+      break;
   }
+  if (!ok) {
+    return Status::InvalidArgument(
+        "filter: literal type does not match column '" + leaf.column + "' (" +
+        PhysTypeName(col_type) + ")");
+  }
+  return Status::Ok();
 }
+
+// --- leaf lowering to u32 range sets (kernel path) --------------------------
 
 std::vector<U32Range> RangesForCmpU32(CmpOp op, uint32_t x) {
   switch (op) {
@@ -675,302 +668,60 @@ StatusOr<std::vector<U32Range>> LeafU32Ranges(const ChunkColumn& col,
   }
 }
 
-/// True when `leaf` on column `ci` can be evaluated over an arbitrary
-/// candidate sub-range without first gathering the whole chunk — the lazy
-/// base-column paths that morsel-parallel evaluation splits up.
+/// True when `leaf`, whose domain CheckLeafDomain accepted for column
+/// `ci`, runs through the candidate-list kernels (or, for f64, a direct
+/// loop over the base column), so any subset of its rows can be evaluated
+/// without gathering the column first.
 bool LeafRangedEvalSupported(const Chunk& in, size_t ci, const Expr& leaf) {
   const ChunkColumn& col = in.cols[ci];
   if (!col.lazy()) return false;
   switch (LeafLiteralType(leaf)) {
     case Literal::Type::kI64:
-      // Wide literals cannot lower to u32 range sets; gather fallback.
+      // Wide literals cannot lower to u32 range sets.
       return false;
     case Literal::Type::kU32:
-      switch (col.base->column_bat(col.base_col).tail().type()) {
-        case PhysType::kVoid:
-        case PhysType::kU8:
-        case PhysType::kU16:
-        case PhysType::kU32:
-          return true;
-        default:
-          return false;  // e.g. an i64 base column: gather fallback
-      }
+      // Not an i64 base column.
+      return U32Tail(col.base->column_bat(col.base_col).tail().type());
     case Literal::Type::kF64:
-      return col.base->column_bat(col.base_col).tail().type() ==
-             PhysType::kF64;
+      return true;  // the column is f64
     case Literal::Type::kStr:
       return col.base->is_encoded(col.base_col);
   }
   return false;
 }
 
-/// Evaluates `leaf` over candidate rows [row_lo, row_hi) of lazy column
-/// `ci`, returning qualifying chunk-relative positions (ascending). Only
-/// valid when LeafRangedEvalSupported; morsel results concatenated in range
-/// order equal a full-range evaluation.
-StatusOr<std::vector<uint32_t>> EvalLeafLazyRange(const Chunk& in,
-                                                  const Expr& leaf, size_t ci,
-                                                  size_t row_lo,
-                                                  size_t row_hi) {
-  const ChunkColumn& col = in.cols[ci];
-  const Bat& bat = col.base->column_bat(col.base_col);
-  const Candidates& cd = in.cands[col.cand_slot];
-  size_t n = row_hi - row_lo;
-  if (LeafLiteralType(leaf) == Literal::Type::kF64) {
-    auto v = bat.tail().Span<double>();
-    std::vector<uint32_t> out;
-    for (size_t i = row_lo; i < row_hi; ++i) {
-      oid_t o = cd.Get(i);
-      if (o >= v.size()) return Status::OutOfRange("candidate beyond column");
-      if (MatchF64(leaf, v[o])) out.push_back(static_cast<uint32_t>(i));
-    }
-    return out;
-  }
-  // Integral shapes (and string literals remapped onto codes) lower to a
-  // disjoint range set evaluated by the candidate-list union kernels.
-  CCDB_ASSIGN_OR_RETURN(std::vector<U32Range> ranges,
-                        LeafU32Ranges(col, leaf));
-  if (ranges.empty()) return std::vector<uint32_t>{};
-  std::vector<uint32_t> pos;
-  if (cd.dense()) {
-    CCDB_ASSIGN_OR_RETURN(
-        pos, BatSelectPositionsUnionDense(bat, ranges,
-                                          static_cast<oid_t>(cd.base + row_lo),
-                                          n));
-  } else {
-    CCDB_ASSIGN_OR_RETURN(
-        pos,
-        BatSelectPositionsUnion(bat, ranges, OidSpan(cd).subspan(row_lo, n)));
-  }
-  if (row_lo != 0) {
-    for (uint32_t& p : pos) p += static_cast<uint32_t>(row_lo);
-  }
-  return pos;
-}
+// --- the filter walk ---------------------------------------------------------
+// A pass reads a set of chunk rows and returns the qualifying ones as
+// ascending, duplicate-free chunk positions, so And narrows pass by pass
+// and Or merge-unions branch results — candidate lists all the way down,
+// never an intermediate BAT.
 
-/// Evaluates `leaf` over an owned column in place (no gather): rows
-/// row_at(0..n), emitting the matching row_at values in order.
-template <class RowAt>
-StatusOr<std::vector<uint32_t>> EvalLeafOwnedRows(const Column& col,
-                                                  const Expr& leaf, size_t n,
-                                                  RowAt row_at) {
-  std::vector<uint32_t> out;
-  switch (col.type()) {
-    case PhysType::kU32: {
-      auto s = col.Span<uint32_t>();
-      for (size_t i = 0; i < n; ++i) {
-        uint32_t r = row_at(i);
-        if (MatchU32(leaf, s[r])) out.push_back(r);
-      }
-      return out;
-    }
-    case PhysType::kI64: {
-      auto s = col.Span<int64_t>();
-      for (size_t i = 0; i < n; ++i) {
-        uint32_t r = row_at(i);
-        if (MatchI64(leaf, s[r])) out.push_back(r);
-      }
-      return out;
-    }
-    case PhysType::kF64: {
-      auto s = col.Span<double>();
-      for (size_t i = 0; i < n; ++i) {
-        uint32_t r = row_at(i);
-        if (MatchF64(leaf, s[r])) out.push_back(r);
-      }
-      return out;
-    }
-    case PhysType::kStr: {
-      for (size_t i = 0; i < n; ++i) {
-        uint32_t r = row_at(i);
-        if (MatchStr(leaf, col.GetStr(r))) out.push_back(r);
-      }
-      return out;
-    }
-    default: {
-      // Narrow integral representations: go through GetIntegral.
-      for (size_t i = 0; i < n; ++i) {
-        uint32_t r = row_at(i);
-        if (MatchU32(leaf, static_cast<uint32_t>(col.GetIntegral(r)))) {
-          out.push_back(r);
-        }
-      }
-      return out;
-    }
-  }
-}
+/// The rows a filter pass reads: the identity range [0, n) of the chunk, or
+/// the ascending chunk positions at `list`.
+struct Rows {
+  size_t n = 0;
+  const uint32_t* list = nullptr;  // null: the identity range
 
-/// Directly-composed SelectOps bypass Build() validation, so the fallback
-/// paths re-check that the leaf's literal domain matches the column before
-/// dispatching a matcher — a mismatch must stay a loud error, never a
-/// comparison against the wrong Literal member.
-Status CheckLeafDomain(PhysType col_type, const Expr& leaf) {
-  Literal::Type lt = LeafLiteralType(leaf);
-  bool ok = false;
-  switch (col_type) {
-    case PhysType::kU32:
-    case PhysType::kI64:
-      ok = lt == Literal::Type::kU32 || lt == Literal::Type::kI64;
-      break;
-    case PhysType::kF64:
-      ok = lt == Literal::Type::kF64;
-      break;
-    case PhysType::kStr:
-      ok = lt == Literal::Type::kStr;
-      break;
-    default:
-      break;
+  static Rows Of(const std::vector<uint32_t>& positions) {
+    return {positions.size(), positions.data()};
   }
-  if (!ok) {
-    return Status::InvalidArgument(
-        "filter: literal type does not match column '" + leaf.column + "' (" +
-        PhysTypeName(col_type) + ")");
+  uint32_t operator[](size_t i) const {
+    return list == nullptr ? static_cast<uint32_t>(i) : list[i];
   }
-  return Status::Ok();
-}
+};
 
-/// Whole-chunk fallback for shapes without a ranged kernel path: owned
-/// columns (aggregate output) evaluate on their spans in place; lazy
-/// columns gather once and match per row.
-StatusOr<std::vector<uint32_t>> EvalLeafFallback(const Chunk& in,
-                                                 const Expr& leaf, size_t ci) {
-  CCDB_RETURN_IF_ERROR(CheckLeafDomain(in.TypeOf(ci), leaf));
-  const ChunkColumn& col = in.cols[ci];
-  if (!col.lazy()) {
-    return EvalLeafOwnedRows(*col.owned, leaf, in.rows,
-                             [](size_t i) { return static_cast<uint32_t>(i); });
-  }
-  std::vector<uint32_t> out;
-  switch (in.TypeOf(ci)) {
-    case PhysType::kU32: {
-      CCDB_ASSIGN_OR_RETURN(std::vector<uint32_t> v, in.GatherU32(ci));
-      for (size_t i = 0; i < v.size(); ++i) {
-        if (MatchU32(leaf, v[i])) out.push_back(static_cast<uint32_t>(i));
-      }
-      return out;
-    }
-    case PhysType::kI64: {
-      CCDB_ASSIGN_OR_RETURN(std::vector<int64_t> v, in.GatherI64(ci));
-      for (size_t i = 0; i < v.size(); ++i) {
-        if (MatchI64(leaf, v[i])) out.push_back(static_cast<uint32_t>(i));
-      }
-      return out;
-    }
-    case PhysType::kF64: {
-      CCDB_ASSIGN_OR_RETURN(std::vector<double> v, in.GatherF64(ci));
-      for (size_t i = 0; i < v.size(); ++i) {
-        if (MatchF64(leaf, v[i])) out.push_back(static_cast<uint32_t>(i));
-      }
-      return out;
-    }
-    case PhysType::kStr: {
-      CCDB_ASSIGN_OR_RETURN(std::vector<std::string> v, in.GatherStr(ci));
-      for (size_t i = 0; i < v.size(); ++i) {
-        if (MatchStr(leaf, v[i])) out.push_back(static_cast<uint32_t>(i));
-      }
-      return out;
-    }
-    default:
-      return Status::Internal("unexpected chunk column type");
-  }
-}
-
-/// First pass of a leaf: evaluates it over the whole chunk, morsel-parallel
-/// when the column supports ranged evaluation.
-StatusOr<std::vector<uint32_t>> EvalLeafFull(const Chunk& in, const Expr& leaf,
-                                             const ExecContext* ctx) {
-  CCDB_ASSIGN_OR_RETURN(size_t ci, in.Find(leaf.column));
-  bool ranged = LeafRangedEvalSupported(in, ci, leaf);
-  size_t shards = ranged ? CtxShards(ctx, in.rows) : 1;
-  if (shards <= 1) {
-    if (ranged) return EvalLeafLazyRange(in, leaf, ci, 0, in.rows);
-    return EvalLeafFallback(in, leaf, ci);
-  }
-  // Morsel-parallel candidate evaluation: shard s fills slot s, and the
-  // ordered concatenation equals the serial result exactly.
+/// Runs `slice(lo, hi)` over the context's morsels of [0, n) — on the pool
+/// when there are several — and concatenates the position lists in morsel
+/// order, which equals one serial slice(0, n).
+template <class Slice>
+StatusOr<std::vector<uint32_t>> ConcatMorsels(const ExecContext* ctx, size_t n,
+                                              const Slice& slice) {
+  size_t shards = CtxShards(ctx, n);
+  if (shards <= 1) return slice(0, n);
   std::vector<std::vector<uint32_t>> parts(shards);
   CCDB_RETURN_IF_ERROR(ExecParallelFor(ctx, shards, [&](size_t s) -> Status {
-    size_t lo = in.rows * s / shards;
-    size_t hi = in.rows * (s + 1) / shards;
-    CCDB_ASSIGN_OR_RETURN(parts[s], EvalLeafLazyRange(in, leaf, ci, lo, hi));
-    return Status::Ok();
-  }));
-  size_t total = 0;
-  for (const auto& p : parts) total += p.size();
-  std::vector<uint32_t> positions;
-  positions.reserve(total);
-  for (const auto& p : parts) {
-    positions.insert(positions.end(), p.begin(), p.end());
-  }
-  return positions;
-}
-
-/// Evaluates `leaf` over the surviving chunk positions [lo, hi) of
-/// `positions`, touching only those candidates (never the full chunk).
-/// Returns the qualifying subset, in order. Requires
-/// LeafRangedEvalSupported.
-StatusOr<std::vector<uint32_t>> NarrowLeafSlice(
-    const Chunk& in, const Expr& leaf, size_t ci,
-    std::span<const uint32_t> positions, size_t lo, size_t hi) {
-  const ChunkColumn& col = in.cols[ci];
-  const Bat& bat = col.base->column_bat(col.base_col);
-  const Candidates& cd = in.cands[col.cand_slot];
-  if (LeafLiteralType(leaf) == Literal::Type::kF64) {
-    auto v = bat.tail().Span<double>();
-    std::vector<uint32_t> out;
-    for (size_t i = lo; i < hi; ++i) {
-      oid_t o = cd.Get(positions[i]);
-      if (o >= v.size()) return Status::OutOfRange("candidate beyond column");
-      if (MatchF64(leaf, v[o])) out.push_back(positions[i]);
-    }
-    return out;
-  }
-  CCDB_ASSIGN_OR_RETURN(std::vector<U32Range> ranges,
-                        LeafU32Ranges(col, leaf));
-  if (ranges.empty()) return std::vector<uint32_t>{};
-  std::vector<oid_t> oids(hi - lo);
-  for (size_t i = lo; i < hi; ++i) oids[i - lo] = cd.Get(positions[i]);
-  CCDB_ASSIGN_OR_RETURN(std::vector<uint32_t> idx,
-                        BatSelectPositionsUnion(bat, ranges, oids));
-  std::vector<uint32_t> out(idx.size());
-  for (size_t i = 0; i < idx.size(); ++i) out[i] = positions[lo + idx[i]];
-  return out;
-}
-
-/// Narrows the surviving positions by `leaf` without re-scanning the chunk.
-/// Lazy columns go through the candidate-list kernels; owned columns
-/// evaluate in place on their spans; other shapes fall back to a
-/// candidate-bounded take + gather.
-StatusOr<std::vector<uint32_t>> NarrowLeaf(const Chunk& in, const Expr& leaf,
-                                           std::vector<uint32_t> positions,
-                                           const ExecContext* ctx) {
-  CCDB_ASSIGN_OR_RETURN(size_t ci, in.Find(leaf.column));
-  if (!LeafRangedEvalSupported(in, ci, leaf)) {
-    const ChunkColumn& col = in.cols[ci];
-    if (!col.lazy()) {
-      // Aggregate output and other owned columns: match through the
-      // survivor list in place — no take, no gather.
-      CCDB_RETURN_IF_ERROR(CheckLeafDomain(in.TypeOf(ci), leaf));
-      return EvalLeafOwnedRows(*col.owned, leaf, positions.size(),
-                               [&](size_t i) { return positions[i]; });
-    }
-    CCDB_ASSIGN_OR_RETURN(Chunk sub, in.Take(positions));
-    CCDB_ASSIGN_OR_RETURN(std::vector<uint32_t> subpos,
-                          EvalLeafFallback(sub, leaf, ci));
-    std::vector<uint32_t> out(subpos.size());
-    for (size_t i = 0; i < subpos.size(); ++i) out[i] = positions[subpos[i]];
-    return out;
-  }
-  size_t shards = CtxShards(ctx, positions.size());
-  if (shards <= 1) {
-    return NarrowLeafSlice(in, leaf, ci, positions, 0, positions.size());
-  }
-  std::vector<std::vector<uint32_t>> parts(shards);
-  CCDB_RETURN_IF_ERROR(ExecParallelFor(ctx, shards, [&](size_t s) -> Status {
-    size_t lo = positions.size() * s / shards;
-    size_t hi = positions.size() * (s + 1) / shards;
-    CCDB_ASSIGN_OR_RETURN(
-        parts[s], NarrowLeafSlice(in, leaf, ci, positions, lo, hi));
+    CCDB_ASSIGN_OR_RETURN(parts[s],
+                          slice(n * s / shards, n * (s + 1) / shards));
     return Status::Ok();
   }));
   size_t total = 0;
@@ -981,91 +732,147 @@ StatusOr<std::vector<uint32_t>> NarrowLeaf(const Chunk& in, const Expr& leaf,
   return out;
 }
 
-// --- recursive expression evaluation ----------------------------------------
-// Both walks produce ascending, duplicate-free chunk positions, so And can
-// narrow pass by pass and Or can merge-union branch results — candidate
-// lists all the way down, never an intermediate BAT.
-
-StatusOr<std::vector<uint32_t>> EvalExprNarrow(const Chunk& in, const Expr& e,
-                                               std::vector<uint32_t> positions,
-                                               const ExecContext* ctx);
-
-/// Evaluates a normalized expression over the whole chunk.
-StatusOr<std::vector<uint32_t>> EvalExprFull(const Chunk& in, const Expr& e,
-                                             const ExecContext* ctx) {
-  switch (e.kind) {
-    case Expr::Kind::kAnd: {
-      // Fused conjunction pass: the first conjunct scans the chunk's
-      // candidate range; each later conjunct narrows the survivors only.
-      std::vector<uint32_t> positions;
-      for (size_t i = 0; i < e.children.size(); ++i) {
-        if (i == 0) {
-          CCDB_ASSIGN_OR_RETURN(positions,
-                                EvalExprFull(in, e.children[i], ctx));
-        } else {
-          if (positions.empty()) break;
-          CCDB_ASSIGN_OR_RETURN(
-              positions,
-              EvalExprNarrow(in, e.children[i], std::move(positions), ctx));
-        }
-      }
-      return positions;
+/// Evaluates a leaf that LeafRangedEvalSupported over rows[lo, hi) of lazy
+/// column `ci`, returning the qualifying chunk positions in order.
+StatusOr<std::vector<uint32_t>> EvalLeafSlice(const Chunk& in,
+                                              const Expr& leaf, size_t ci,
+                                              Rows rows, size_t lo,
+                                              size_t hi) {
+  const ChunkColumn& col = in.cols[ci];
+  const Bat& bat = col.base->column_bat(col.base_col);
+  const Candidates& cd = in.cands[col.cand_slot];
+  std::vector<uint32_t> out;
+  if (LeafLiteralType(leaf) == Literal::Type::kF64) {
+    auto v = bat.tail().Span<double>();
+    for (size_t i = lo; i < hi; ++i) {
+      oid_t o = cd.Get(rows[i]);
+      if (o >= v.size()) return Status::OutOfRange("candidate beyond column");
+      if (MatchValue(leaf, v[o])) out.push_back(rows[i]);
     }
-    case Expr::Kind::kOr: {
-      std::vector<std::vector<uint32_t>> parts(e.children.size());
-      for (size_t i = 0; i < e.children.size(); ++i) {
-        CCDB_ASSIGN_OR_RETURN(parts[i], EvalExprFull(in, e.children[i], ctx));
-      }
-      return UnionSortedPositions(std::move(parts));
-    }
-    case Expr::Kind::kNot:
-      return Status::Internal("filter expression not normalized (NOT node)");
-    default:
-      return EvalLeafFull(in, e, ctx);
+    return out;
   }
+  // Integral shapes (and string literals remapped onto codes) lower to a
+  // disjoint range set evaluated by the candidate-list union kernels, which
+  // return slice-relative indices.
+  CCDB_ASSIGN_OR_RETURN(std::vector<U32Range> ranges,
+                        LeafU32Ranges(col, leaf));
+  if (ranges.empty()) return out;
+  if (rows.list != nullptr) {
+    std::vector<oid_t> oids(hi - lo);
+    for (size_t i = lo; i < hi; ++i) oids[i - lo] = cd.Get(rows[i]);
+    CCDB_ASSIGN_OR_RETURN(out, BatSelectPositionsUnion(bat, ranges, oids));
+  } else if (cd.dense()) {
+    CCDB_ASSIGN_OR_RETURN(
+        out, BatSelectPositionsUnionDense(
+                 bat, ranges, static_cast<oid_t>(cd.base + lo), hi - lo));
+  } else {
+    CCDB_ASSIGN_OR_RETURN(
+        out,
+        BatSelectPositionsUnion(bat, ranges, OidSpan(cd).subspan(lo, hi - lo)));
+  }
+  if (rows.list != nullptr || lo != 0) {
+    for (uint32_t& p : out) p = rows[lo + p];
+  }
+  return out;
 }
 
-/// Narrows surviving positions by a normalized expression.
-StatusOr<std::vector<uint32_t>> EvalExprNarrow(const Chunk& in, const Expr& e,
-                                               std::vector<uint32_t> positions,
-                                               const ExecContext* ctx) {
-  if (positions.empty()) return positions;
+/// A leaf without a kernel path, over `rows`: owned columns (aggregate
+/// output) match their values in place; lazy columns gather only this
+/// column through `rows` and match per value.
+StatusOr<std::vector<uint32_t>> EvalLeafPerValue(const Chunk& in,
+                                                 const Expr& leaf, size_t ci,
+                                                 Rows rows) {
+  const ChunkColumn& col = in.cols[ci];
+  // Lazy column over a position list: the column alone, through the
+  // survivors' candidates; nothing else of the chunk is copied.
+  Chunk survivors;
+  if (col.lazy() && rows.list != nullptr) {
+    const Candidates& cd = in.cands[col.cand_slot];
+    std::vector<oid_t> oids(rows.n);
+    for (size_t i = 0; i < rows.n; ++i) oids[i] = cd.Get(rows[i]);
+    survivors.rows = rows.n;
+    survivors.cands.push_back(Candidates::FromOids(std::move(oids)));
+    survivors.cols.push_back(col);
+    survivors.cols[0].cand_slot = 0;
+  }
+  const bool narrowed = !survivors.cols.empty();
+  return VisitValueType(
+      in.TypeOf(ci), [&](auto tag) -> StatusOr<std::vector<uint32_t>> {
+        using T = decltype(tag);
+        std::vector<uint32_t> out;
+        if (!col.lazy()) {
+          auto at = OwnedReader<T>(*col.owned);
+          for (size_t i = 0; i < rows.n; ++i) {
+            if (MatchValue(leaf, at(rows[i]))) out.push_back(rows[i]);
+          }
+          return out;
+        }
+        CCDB_ASSIGN_OR_RETURN(
+            std::vector<T> v,
+            narrowed ? GatherAs<T>(survivors, 0) : GatherAs<T>(in, ci));
+        for (size_t i = 0; i < v.size(); ++i) {
+          if (MatchValue(leaf, v[i])) out.push_back(rows[i]);
+        }
+        return out;
+      });
+}
+
+/// One leaf over `rows`, morsel-parallel on the kernel path. Directly
+/// composed SelectOps bypass Build() validation, so the literal domain is
+/// checked against the column here, before any path runs: a mismatch must
+/// stay a loud error, never a comparison against the wrong Literal member
+/// or against an encoded column's dictionary codes.
+StatusOr<std::vector<uint32_t>> EvalLeaf(const Chunk& in, const Expr& leaf,
+                                         Rows rows, const ExecContext* ctx) {
+  CCDB_ASSIGN_OR_RETURN(size_t ci, in.Find(leaf.column));
+  CCDB_RETURN_IF_ERROR(CheckLeafDomain(in.TypeOf(ci), leaf));
+  if (!LeafRangedEvalSupported(in, ci, leaf)) {
+    return EvalLeafPerValue(in, leaf, ci, rows);
+  }
+  return ConcatMorsels(ctx, rows.n, [&](size_t lo, size_t hi) {
+    return EvalLeafSlice(in, leaf, ci, rows, lo, hi);
+  });
+}
+
+/// Evaluates a normalized expression over `rows`.
+StatusOr<std::vector<uint32_t>> EvalExpr(const Chunk& in, const Expr& e,
+                                         Rows rows, const ExecContext* ctx) {
   switch (e.kind) {
     case Expr::Kind::kAnd: {
-      for (const Expr& c : e.children) {
-        CCDB_ASSIGN_OR_RETURN(positions,
-                              EvalExprNarrow(in, c, std::move(positions),
-                                             ctx));
-        if (positions.empty()) break;
+      // Fused conjunction pass: the first conjunct reads `rows`, each later
+      // conjunct only the survivors of the one before.
+      std::vector<uint32_t> positions;
+      for (size_t i = 0; i < e.children.size(); ++i) {
+        if (i > 0 && positions.empty()) break;
+        CCDB_ASSIGN_OR_RETURN(
+            positions, EvalExpr(in, e.children[i],
+                                i == 0 ? rows : Rows::Of(positions), ctx));
       }
       return positions;
     }
     case Expr::Kind::kOr: {
-      // Every branch narrows the same survivor list; the union keeps each
-      // surviving position exactly once, in order.
+      // Every branch reads the same rows; the union keeps each position
+      // exactly once, in order.
       std::vector<std::vector<uint32_t>> parts(e.children.size());
       for (size_t i = 0; i < e.children.size(); ++i) {
         CCDB_ASSIGN_OR_RETURN(parts[i],
-                              EvalExprNarrow(in, e.children[i], positions,
-                                             ctx));
+                              EvalExpr(in, e.children[i], rows, ctx));
       }
       return UnionSortedPositions(std::move(parts));
     }
     case Expr::Kind::kNot:
       return Status::Internal("filter expression not normalized (NOT node)");
     default:
-      return NarrowLeaf(in, e, std::move(positions), ctx);
+      return EvalLeaf(in, e, rows, ctx);
   }
 }
 
 }  // namespace
 
-// Public face of the evaluation walk above: the FilterCache fills its lists
-// with the exact kernels SelectOp runs, so caching cannot change results.
 StatusOr<std::vector<uint32_t>> EvalFilterPositions(const Chunk& chunk,
                                                     const Expr& normalized,
                                                     const ExecContext* ctx) {
-  return EvalExprFull(chunk, normalized, ctx);
+  return EvalExpr(chunk, normalized, Rows{chunk.rows}, ctx);
 }
 
 StatusOr<bool> SelectOp::Next(Chunk* out) {
@@ -1086,7 +893,7 @@ StatusOr<bool> SelectOp::Next(Chunk* out) {
     return true;
   }
   CCDB_ASSIGN_OR_RETURN(std::vector<uint32_t> positions,
-                        EvalExprFull(in, *expr_, ctx_));
+                        EvalFilterPositions(in, *expr_, ctx_));
   CCDB_ASSIGN_OR_RETURN(*out, in.Take(positions));
   return true;
 }
@@ -1479,64 +1286,25 @@ StatusOr<std::vector<ChunkColumn>> JoinOp::TakeInnerWithNulls(
   std::vector<ChunkColumn> out;
   out.reserve(inner_.cols.size());
   for (size_t c = 0; c < inner_.cols.size(); ++c) {
+    auto values = VisitValueType(
+        inner_.TypeOf(c), [&](auto tag) -> StatusOr<Column> {
+          using T = decltype(tag);
+          // T{} is the null surrogate: 0, 0.0 or "".
+          std::vector<T> v;
+          if (inner_.rows > 0) {
+            CCDB_ASSIGN_OR_RETURN(v, GatherAs<T>(taken, c));
+            for (size_t i = 0; i < n; ++i) {
+              if (!valid[i]) v[i] = T{};
+            }
+          } else {
+            v.assign(n, T{});
+          }
+          return MakeColumn(v);
+        });
+    if (!values.ok()) return values.status();
     ChunkColumn col;
     col.name = inner_.cols[c].name;
-    switch (inner_.TypeOf(c)) {
-      case PhysType::kU32: {
-        std::vector<uint32_t> v;
-        if (inner_.rows > 0) {
-          CCDB_ASSIGN_OR_RETURN(v, taken.GatherU32(c));
-          for (size_t i = 0; i < n; ++i) {
-            if (!valid[i]) v[i] = 0;
-          }
-        } else {
-          v.assign(n, 0);
-        }
-        col.owned = std::make_shared<const Column>(Column::U32(std::move(v)));
-        break;
-      }
-      case PhysType::kI64: {
-        std::vector<int64_t> v;
-        if (inner_.rows > 0) {
-          CCDB_ASSIGN_OR_RETURN(v, taken.GatherI64(c));
-          for (size_t i = 0; i < n; ++i) {
-            if (!valid[i]) v[i] = 0;
-          }
-        } else {
-          v.assign(n, 0);
-        }
-        col.owned = std::make_shared<const Column>(Column::I64(std::move(v)));
-        break;
-      }
-      case PhysType::kF64: {
-        std::vector<double> v;
-        if (inner_.rows > 0) {
-          CCDB_ASSIGN_OR_RETURN(v, taken.GatherF64(c));
-          for (size_t i = 0; i < n; ++i) {
-            if (!valid[i]) v[i] = 0.0;
-          }
-        } else {
-          v.assign(n, 0.0);
-        }
-        col.owned = std::make_shared<const Column>(Column::F64(std::move(v)));
-        break;
-      }
-      case PhysType::kStr: {
-        std::vector<std::string> v;
-        if (inner_.rows > 0) {
-          CCDB_ASSIGN_OR_RETURN(v, taken.GatherStr(c));
-          for (size_t i = 0; i < n; ++i) {
-            if (!valid[i]) v[i].clear();
-          }
-        } else {
-          v.resize(n);
-        }
-        col.owned = std::make_shared<const Column>(Column::Str(v));
-        break;
-      }
-      default:
-        return Status::Internal("unexpected inner column type");
-    }
+    col.owned = std::make_shared<const Column>(*std::move(values));
     out.push_back(std::move(col));
   }
   return out;
@@ -1823,30 +1591,12 @@ StatusOr<bool> OrderByOp::Next(Chunk* out) {
     }
     return Status::Ok();
   };
-  switch (all.TypeOf(ci)) {
-    case PhysType::kU32: {
-      CCDB_ASSIGN_OR_RETURN(std::vector<uint32_t> keys, all.GatherU32(ci));
-      CCDB_RETURN_IF_ERROR(argsort(keys));
-      break;
-    }
-    case PhysType::kI64: {
-      CCDB_ASSIGN_OR_RETURN(std::vector<int64_t> keys, all.GatherI64(ci));
-      CCDB_RETURN_IF_ERROR(argsort(keys));
-      break;
-    }
-    case PhysType::kF64: {
-      CCDB_ASSIGN_OR_RETURN(std::vector<double> keys, all.GatherF64(ci));
-      CCDB_RETURN_IF_ERROR(argsort(keys));
-      break;
-    }
-    case PhysType::kStr: {
-      CCDB_ASSIGN_OR_RETURN(std::vector<std::string> keys, all.GatherStr(ci));
-      CCDB_RETURN_IF_ERROR(argsort(keys));
-      break;
-    }
-    default:
-      return Status::Internal("unexpected order-by key type");
-  }
+  CCDB_RETURN_IF_ERROR(
+      VisitValueType(all.TypeOf(ci), [&](auto tag) -> Status {
+        CCDB_ASSIGN_OR_RETURN(std::vector<decltype(tag)> keys,
+                              GatherAs<decltype(tag)>(all, ci));
+        return argsort(keys);
+      }));
   CCDB_ASSIGN_OR_RETURN(*out, all.Take(positions));
   return true;
 }

@@ -102,9 +102,10 @@ struct Chunk {
 /// shape) into one; used by pipeline breakers.
 StatusOr<Chunk> ConcatChunks(std::vector<Chunk> chunks);
 
-/// Dispatches a resolved JoinPlan to the concrete join kernel over raw BUN
-/// spans. JoinOp runs every join through it; benches and tests call it to
-/// drive one kernel without building a plan.
+/// Dispatches a resolved JoinPlan to the concrete one-shot join kernel over
+/// raw BUN spans — to drive one kernel without building a plan (quickstart,
+/// bench/fig13_comparison, exec_test). JoinOp does not go through it: it
+/// prepares its inner once at Open() and probes each chunk via ProbeRanges.
 StatusOr<std::vector<Bun>> ExecuteJoinPlan(std::span<const Bun> l,
                                            std::span<const Bun> r,
                                            const JoinPlan& plan,
@@ -179,24 +180,28 @@ class ScanOp : public Operator {
 /// Filter: evaluates a typed expression tree (exec/expr.h) through the
 /// candidate list (predicate remap for encoded columns) and narrows the
 /// chunk — no values are materialized and no intermediate BAT exists at any
-/// point. Conjunctions run as one fused candidate pass: the first conjunct
-/// scans the chunk's candidate range, every subsequent conjunct narrows the
-/// surviving position list without re-scanning the chunk. Disjunctions
-/// evaluate every branch over the same input candidates and merge-union the
-/// sorted position lists (UnionSortedPositions), so a position matching
+/// point. Evaluation is one walk over a row set — the chunk's identity
+/// range [0, n), or an ascending list of surviving positions — that returns
+/// the qualifying positions. A conjunction is one fused candidate pass: the
+/// first conjunct reads the walk's rows, every later conjunct only the
+/// survivors of the one before, without re-scanning the chunk. A
+/// disjunction evaluates every branch over the same rows and merge-unions
+/// the sorted position lists (UnionSortedPositions), so a position matching
 /// several branches survives exactly once. Leaves lower to disjoint u32
 /// range sets on the value (or dictionary-code) domain where possible —
 /// `x != 7` is two ranges, a negated Between or an IN-list a few more —
-/// evaluated by the candidate-list union kernels; owned columns (aggregate
-/// output) evaluate on their spans in place, and other shapes fall back to
-/// a candidate-bounded gather. With a parallel ExecContext each leaf pass
-/// splits into cache-sized morsels evaluated on the pool; morsel results
-/// concatenate in morsel order, so output is byte-identical at any
-/// parallelism.
+/// evaluated by the candidate-list union kernels on the rows' oids; owned
+/// columns (aggregate output) match their values in place, and other
+/// shapes gather only the leaf's column through the rows. Each leaf checks
+/// its literal's domain against the column first, so a directly composed
+/// SelectOp with a mismatched literal fails with InvalidArgument. With a
+/// parallel ExecContext each kernel pass splits its rows into cache-sized
+/// morsels evaluated on the pool; morsel results concatenate in morsel
+/// order, so output is byte-identical at any parallelism.
 ///
 /// The expression is normalized (NNF) and its conjuncts
 /// selectivity-ordered on construction; SelectOp also serves Having nodes,
-/// whose owned aggregate columns take the in-place span path.
+/// whose owned aggregate columns take the in-place path.
 class SelectOp : public Operator {
  public:
   /// `scanned`: the base table when `child` is that table's ScanOp with

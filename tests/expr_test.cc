@@ -680,7 +680,9 @@ TEST(ExprExecTest, FilterPathMatrixMatchesOracle) {
   Table dim = *Table::FromRowStore(*dim_rs);
 
   auto scan_of = [](const Table& t) {
-    return [&t](Expr e) { return QueryBuilder(t).Filter(std::move(e)).Build(); };
+    return [&t](Expr e) {
+      return QueryBuilder(t).Filter(std::move(e)).Build();
+    };
   };
   auto row_anchor = [](size_t i) { return MatrixA(i) == 0; };
   auto v = [](size_t i) { return static_cast<int64_t>(MatrixV(i)); };
@@ -748,14 +750,24 @@ TEST(ExprExecTest, DirectSelectOpTypeMismatchIsLoud) {
   // domain doesn't match the column must surface InvalidArgument, never
   // silently compare against the wrong Literal member.
   Table items = *Table::FromRowStore(MakeItems(100));
-  SelectOp op(std::make_unique<ScanOp>(&items, /*chunk_rows=*/64),
-              Between(Col("price"), 10u, 20u));  // price is f64
-  ASSERT_TRUE(op.Open().ok());
-  Chunk out;
-  auto more = op.Next(&out);
-  ASSERT_FALSE(more.ok());
-  EXPECT_EQ(more.status().code(), StatusCode::kInvalidArgument);
-  op.Close();
+  ASSERT_TRUE(items.is_encoded(3));
+  // price is f64; shipmode is an encoded string, whose u32 dictionary codes
+  // a u32 literal must not be compared against — neither as the first
+  // conjunct nor as a later one.
+  Expr mismatches[] = {Between(Col("price"), 10u, 20u),
+                       Col("shipmode") == 0u,
+                       Col("qty") < 4u && Col("shipmode") == 0u};
+  for (Expr& e : mismatches) {
+    std::string what = e.ToString();
+    SelectOp op(std::make_unique<ScanOp>(&items, /*chunk_rows=*/64),
+                std::move(e));
+    ASSERT_TRUE(op.Open().ok()) << what;
+    Chunk out;
+    auto more = op.Next(&out);
+    ASSERT_FALSE(more.ok()) << what;
+    EXPECT_EQ(more.status().code(), StatusCode::kInvalidArgument) << what;
+    op.Close();
+  }
 }
 
 TEST(ExprExecTest, EmptyConjunctionPassesThrough) {
