@@ -7,7 +7,9 @@
 //   --full          paper-scale cardinalities (minutes); default is a
 //                   laptop-scale grid that preserves every crossover
 //   --profile=P     origin2000 (default) | x86 | host   — machine profile
-//                   used for the simulator and the analytical model
+//                   used for the simulator and the analytical model; host
+//                   is MeasuredHostProfile(), the profile the planner
+//                   prices with
 // Environment variable CCDB_FULL=1 is equivalent to --full.
 #ifndef CCDB_BENCH_BENCH_COMMON_H_
 #define CCDB_BENCH_BENCH_COMMON_H_
@@ -47,7 +49,7 @@ struct BenchEnv {
     if (env.profile_name == "x86") {
       env.profile = MachineProfile::GenericX86();
     } else if (env.profile_name == "host") {
-      env.profile = CalibratedHostProfile();
+      env.profile = MeasuredHostProfile();
     } else {
       env.profile_name = "origin2000";
       env.profile = MachineProfile::Origin2000();

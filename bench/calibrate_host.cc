@@ -1,7 +1,8 @@
-// Prints the host's measured latency curve and the derived MachineProfile —
-// the runtime analogue of the paper's footnote-4 calibration. Also probes
-// the perf_event hardware counters and reports whether the real R10000-style
-// counter path is available in this environment.
+// Prints the host's measured latency curve and the host profile the planner
+// prices with (MeasuredHostProfile) — the runtime analogue of the paper's
+// footnote-4 calibration. Also probes the perf_event hardware counters and
+// reports whether the real R10000-style counter path is available in this
+// environment. Exits non-zero when the host profile does not validate.
 #include <cstdio>
 
 #include "mem/hw_counters.h"
@@ -27,11 +28,17 @@ int Run() {
   }
   curve.Print(stdout);
 
-  std::printf("\nDerived latencies:  L1 hit %.1f ns   lL2 %.1f ns   lMem %.1f ns"
-              "   lTLB %.1f ns\n",
-              rep.l1_ns, rep.l2_ns, rep.mem_ns, rep.tlb_ns);
-  std::printf("OS-reported geometry: L1 %zu KB / %zu B lines, L2 %zu KB / %zu B lines\n",
-              rep.l1_bytes >> 10, rep.l1_line, rep.l2_bytes >> 10, rep.l2_line);
+  const MachineProfile& m = MeasuredHostProfile();
+  std::printf("\nHost profile (%s), as the planner prices:\n", m.name.c_str());
+  std::printf("  L1 %zu KB / %zu B lines, L2 %zu KB / %zu B lines\n",
+              m.l1.capacity_bytes >> 10, m.l1.line_bytes,
+              m.l2.capacity_bytes >> 10, m.l2.line_bytes);
+  std::printf("  lL2 %.1f ns   lMem %.1f ns   sequential miss %.1f ns\n",
+              m.lat.l2_ns, m.lat.mem_ns, m.lat.effective_mem_seq_ns());
+  std::printf("  TLB %zu entries x %zu KB pages (%s), lTLB %.1f ns\n",
+              m.tlb.entries, m.tlb.page_bytes >> 10,
+              MeasuredTlbGeometry().measured ? "measured" : "static",
+              m.lat.tlb_ns);
   std::printf("(paper's Origin2000:  lL2=24 ns, lMem=412 ns, lTLB=228 ns)\n");
 
   HwCounters hw;
@@ -41,6 +48,13 @@ int Run() {
   } else {
     std::printf("\nperf_event hardware counters: %s\n", s.ToString().c_str());
     std::printf("Figure benches use the exact software simulator instead.\n");
+  }
+
+  Status valid = m.Validate();
+  if (!valid.ok()) {
+    std::fprintf(stderr, "host profile does not validate: %s\n",
+                 valid.ToString().c_str());
+    return 1;
   }
   return 0;
 }

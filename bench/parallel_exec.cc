@@ -34,23 +34,12 @@ using namespace ccdb;
 
 namespace {
 
-double MinOfRunsMs(int reps, const std::function<void()>& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    WallTimer t;
-    fn();
-    double ms = t.ElapsedMillis();
-    if (ms < best) best = ms;
-  }
-  return best;
-}
-
 /// Sequential-read bandwidth in GB/s: `threads` threads each sum their own
 /// contiguous slice of `buf` (best of `reps`).
 double SeqReadGbps(const std::vector<uint64_t>& buf, size_t threads,
                    int reps) {
   std::vector<uint64_t> sums(threads);
-  double ms = MinOfRunsMs(reps, [&] {
+  double ms = MinTimeMillis(reps, [&] {
     std::vector<std::thread> workers;
     for (size_t t = 0; t < threads; ++t) {
       workers.emplace_back([&, t] {
@@ -153,7 +142,7 @@ int main(int argc, char** argv) {
   auto run_at = [&](const std::function<LogicalPlan()>& build, size_t par) {
     PlannerOptions opts;
     opts.exec.parallelism = par;
-    return MinOfRunsMs(kReps, [&] {
+    return MinTimeMillis(kReps, [&] {
       auto r = Execute(build(), opts);
       CCDB_CHECK(r.ok());
     });
@@ -294,7 +283,7 @@ int main(int argc, char** argv) {
     opts.exec.parallelism = 1;
     opts.reorder_joins = reorder;
     Planner planner(opts);
-    return MinOfRunsMs(kReps, [&] {
+    return MinTimeMillis(kReps, [&] {
       auto physical = planner.Lower(chain_query());
       CCDB_CHECK(physical.ok());
       CCDB_CHECK(physical->Execute().ok());
@@ -367,7 +356,7 @@ int main(int argc, char** argv) {
     for (int passes : {1, 2}) {
       RadixClusterOptions opt{.bits = bits, .passes = passes,
                               .bits_per_pass = {}};
-      double ms = MinOfRunsMs(kReps, [&] {
+      double ms = MinTimeMillis(kReps, [&] {
         auto out = RadixCluster(std::span<const Bun>(rel), opt, mem);
         CCDB_CHECK(out.ok());
       });

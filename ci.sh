@@ -134,6 +134,9 @@ echo "== tier-1 tests =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
 echo "== bench smoke =="
+# The host profile the planner prices with, printed beside the latency
+# curve; exits non-zero when the profile does not validate.
+"$BUILD_DIR/calibrate_host"
 # fig9 sweeps radix-cluster over cardinalities; the default (non --full)
 # scale is a reduced grid that keeps CI fast while still touching the
 # cluster kernels and the cost model.

@@ -1,8 +1,8 @@
 // Cache explorer: measure THIS machine the way the paper measured the
 // Origin2000.
 //
-//   1. Calibrate the host: latency curve over growing working sets,
-//      derived lL2/lMem/lTLB (paper footnote 4).
+//   1. Calibrate the host: latency curve over growing working sets, then
+//      the lL2/lMem/lTLB the planner prices with (paper footnote 4).
 //   2. Re-run the paper's §2 stride-scan experiment on the host and on the
 //      simulated Origin2000, side by side.
 //   3. Show the same experiment through perf_event hardware counters when
@@ -29,9 +29,15 @@ int main() {
                   TablePrinter::Fmt(pt.ns_per_access, 2)});
   }
   curve.Print(stdout);
-  std::printf("\nderived: L1 hit %.1f ns, lL2 %.1f ns, lMem %.1f ns, "
-              "lTLB ~%.1f ns\n",
-              rep.l1_ns, rep.l2_ns, rep.mem_ns, rep.tlb_ns);
+  const MachineProfile& host = MeasuredHostProfile();
+  std::printf("\nhost profile (%s): L1 %zu KB, L2 %zu KB, %zu B lines; "
+              "lL2 %.1f ns, lMem %.1f ns, sequential miss %.1f ns; "
+              "TLB %zu entries, lTLB %.1f ns\n",
+              host.name.c_str(), host.l1.capacity_bytes >> 10,
+              host.l2.capacity_bytes >> 10, host.l2.line_bytes,
+              host.lat.l2_ns, host.lat.mem_ns,
+              host.lat.effective_mem_seq_ns(), host.tlb.entries,
+              host.lat.tlb_ns);
   std::printf("paper's Origin2000: lL2 24 ns, lMem 412 ns, lTLB 228 ns\n");
 
   // ---- 2. the §2 experiment: host vs simulated Origin2000 ------------------

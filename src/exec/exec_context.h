@@ -2,9 +2,9 @@
 // parallelism) that rides PlannerOptions from QueryBuilder-built plans into
 // the Planner; ExecContext is its resolved, operator-facing form owned by
 // the PhysicalPlan. Operators hold a borrowed pointer and draw workers from
-// ctx->pool via ParallelFor — every operator in a plan (and every plan that
-// doesn't pass its own pool) shares one process-wide pool, so concurrent
-// queries cannot oversubscribe the machine.
+// ctx->pool via ParallelFor — every operator of every plan shares one
+// process-wide pool (ThreadPool::Shared()), so concurrent queries cannot
+// oversubscribe the machine.
 #ifndef CCDB_EXEC_EXEC_CONTEXT_H_
 #define CCDB_EXEC_EXEC_CONTEXT_H_
 
@@ -88,10 +88,6 @@ struct ExecOptions {
   /// partials). 1 = serial execution, byte-identical to the pre-parallel
   /// engine; 0 = all hardware threads.
   size_t parallelism = 1;
-
-  /// Pool to draw workers from; null uses ThreadPool::Shared() when
-  /// parallelism > 1. The pool must outlive plan execution.
-  ThreadPool* pool = nullptr;
 
   /// Optional scheduling state (deadline / cancellation / fair-share
   /// quantum), owned by the caller (typically serve::Server) and outliving

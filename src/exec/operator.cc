@@ -733,11 +733,12 @@ StatusOr<std::vector<uint32_t>> ConcatMorsels(const ExecContext* ctx, size_t n,
 }
 
 /// Evaluates a leaf that LeafRangedEvalSupported over rows[lo, hi) of lazy
-/// column `ci`, returning the qualifying chunk positions in order.
-StatusOr<std::vector<uint32_t>> EvalLeafSlice(const Chunk& in,
-                                              const Expr& leaf, size_t ci,
-                                              Rows rows, size_t lo,
-                                              size_t hi) {
+/// column `ci`, returning the qualifying chunk positions in order. Integral
+/// and string leaves arrive lowered to their non-empty range set `ranges`
+/// (LeafU32Ranges, once per leaf pass); f64 leaves match per value.
+StatusOr<std::vector<uint32_t>> EvalLeafSlice(
+    const Chunk& in, const Expr& leaf, size_t ci,
+    std::span<const U32Range> ranges, Rows rows, size_t lo, size_t hi) {
   const ChunkColumn& col = in.cols[ci];
   const Bat& bat = col.base->column_bat(col.base_col);
   const Candidates& cd = in.cands[col.cand_slot];
@@ -751,12 +752,8 @@ StatusOr<std::vector<uint32_t>> EvalLeafSlice(const Chunk& in,
     }
     return out;
   }
-  // Integral shapes (and string literals remapped onto codes) lower to a
-  // disjoint range set evaluated by the candidate-list union kernels, which
+  // The range set runs through the candidate-list union kernels, which
   // return slice-relative indices.
-  CCDB_ASSIGN_OR_RETURN(std::vector<U32Range> ranges,
-                        LeafU32Ranges(col, leaf));
-  if (ranges.empty()) return out;
   if (rows.list != nullptr) {
     std::vector<oid_t> oids(hi - lo);
     for (size_t i = lo; i < hi; ++i) oids[i - lo] = cd.Get(rows[i]);
@@ -829,8 +826,15 @@ StatusOr<std::vector<uint32_t>> EvalLeaf(const Chunk& in, const Expr& leaf,
   if (!LeafRangedEvalSupported(in, ci, leaf)) {
     return EvalLeafPerValue(in, leaf, ci, rows);
   }
+  // Integral shapes (and string literals remapped onto codes) lower to a
+  // disjoint range set once here, not per morsel.
+  std::vector<U32Range> ranges;
+  if (LeafLiteralType(leaf) != Literal::Type::kF64) {
+    CCDB_ASSIGN_OR_RETURN(ranges, LeafU32Ranges(in.cols[ci], leaf));
+    if (ranges.empty()) return std::vector<uint32_t>{};
+  }
   return ConcatMorsels(ctx, rows.n, [&](size_t lo, size_t hi) {
-    return EvalLeafSlice(in, leaf, ci, rows, lo, hi);
+    return EvalLeafSlice(in, leaf, ci, ranges, rows, lo, hi);
   });
 }
 
@@ -1274,38 +1278,50 @@ StatusOr<bool> JoinOp::Next(Chunk* out) {
 
 StatusOr<std::vector<ChunkColumn>> JoinOp::TakeInnerWithNulls(
     std::span<const uint32_t> rpos, std::span<const uint8_t> valid) const {
-  // Materialize the inner rows at rpos (all rows are unmatched when the
-  // inner is empty, so Take is skipped), then overwrite null slots with the
-  // type's surrogate. Owned columns always, so every chunk of a left-outer
-  // join has the same layout.
+  // Gather each inner column once through rpos into an owned column (owned
+  // always, so every chunk of a left-outer join has the same layout), with
+  // the type's surrogate in null slots. Lazy columns read their base
+  // through the inner's candidates remapped to rpos; owned columns are read
+  // at rpos in place. An empty inner leaves every slot null.
   const size_t n = rpos.size();
-  Chunk taken;
+  Chunk at_rpos;
   if (inner_.rows > 0) {
-    CCDB_ASSIGN_OR_RETURN(taken, inner_.Take(rpos));
+    at_rpos.rows = n;
+    for (const Candidates& cd : inner_.cands) {
+      std::vector<oid_t> oids(n);
+      for (size_t i = 0; i < n; ++i) oids[i] = cd.Get(rpos[i]);
+      at_rpos.cands.push_back(Candidates::FromOids(std::move(oids)));
+    }
+    at_rpos.cols = inner_.cols;
   }
   std::vector<ChunkColumn> out;
   out.reserve(inner_.cols.size());
   for (size_t c = 0; c < inner_.cols.size(); ++c) {
+    const ChunkColumn& col = inner_.cols[c];
     auto values = VisitValueType(
         inner_.TypeOf(c), [&](auto tag) -> StatusOr<Column> {
           using T = decltype(tag);
           // T{} is the null surrogate: 0, 0.0 or "".
-          std::vector<T> v;
-          if (inner_.rows > 0) {
-            CCDB_ASSIGN_OR_RETURN(v, GatherAs<T>(taken, c));
+          std::vector<T> v(n);
+          if (inner_.rows == 0) return MakeColumn(v);
+          if (col.lazy()) {
+            CCDB_ASSIGN_OR_RETURN(v, GatherAs<T>(at_rpos, c));
             for (size_t i = 0; i < n; ++i) {
               if (!valid[i]) v[i] = T{};
             }
           } else {
-            v.assign(n, T{});
+            auto at = OwnedReader<T>(*col.owned);
+            for (size_t i = 0; i < n; ++i) {
+              if (valid[i]) v[i] = T(at(rpos[i]));
+            }
           }
           return MakeColumn(v);
         });
     if (!values.ok()) return values.status();
-    ChunkColumn col;
-    col.name = inner_.cols[c].name;
-    col.owned = std::make_shared<const Column>(*std::move(values));
-    out.push_back(std::move(col));
+    ChunkColumn taken;
+    taken.name = col.name;
+    taken.owned = std::make_shared<const Column>(*std::move(values));
+    out.push_back(std::move(taken));
   }
   return out;
 }

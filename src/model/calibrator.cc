@@ -14,14 +14,15 @@
 #include "util/timer.h"
 
 namespace ccdb {
+namespace {
 
-double MeasureChaseNs(size_t ws_bytes, size_t stride_bytes,
-                      size_t iterations) {
-  size_t slots = std::max<size_t>(ws_bytes / stride_bytes, 2);
-  AlignedBuffer buf(slots * stride_bytes, 4096);
-
-  // Build one random cycle over all slots (Sattolo's algorithm) so each
-  // load depends on the previous one and covers the whole working set.
+/// Random pointer chase over `slots` (>= 2) pointers placed `stride_bytes`
+/// apart in `buf`, which the caller allocates: one Sattolo cycle, so each
+/// load depends on the previous one and the chase covers every slot.
+/// Returns ns per dependent load over `iterations` loads after a warm-up
+/// lap.
+double ChaseNs(uint8_t* buf, size_t slots, size_t stride_bytes,
+               size_t iterations) {
   std::vector<uint32_t> perm(slots);
   std::iota(perm.begin(), perm.end(), 0u);
   Rng rng(0xC0FFEE);
@@ -30,14 +31,12 @@ double MeasureChaseNs(size_t ws_bytes, size_t stride_bytes,
     std::swap(perm[i], perm[j]);
   }
   auto slot_ptr = [&](size_t s) {
-    return reinterpret_cast<uint64_t*>(buf.data() + s * stride_bytes);
+    return reinterpret_cast<uint64_t*>(buf + s * stride_bytes);
   };
   for (size_t i = 0; i < slots; ++i) {
-    size_t next = perm[i];
-    *slot_ptr(i) = reinterpret_cast<uint64_t>(slot_ptr(next));
+    *slot_ptr(i) = reinterpret_cast<uint64_t>(slot_ptr(perm[i]));
   }
 
-  // Warm-up lap, then timed chase.
   volatile uint64_t* p = slot_ptr(0);
   for (size_t i = 0; i < slots; ++i) p = reinterpret_cast<uint64_t*>(*p);
   WallTimer t;
@@ -51,31 +50,37 @@ double MeasureChaseNs(size_t ws_bytes, size_t stride_bytes,
   return ns;
 }
 
-namespace {
+/// Cache geometry as the OS reports it; 0 where unknown.
+struct OsCacheGeometry {
+  size_t l1_bytes = 0, l1_line = 0, l2_bytes = 0, l2_line = 0;
+};
 
-size_t SysconfOr(int name, size_t fallback) {
+const OsCacheGeometry& OsCaches() {
+  static const OsCacheGeometry geometry = [] {
+    OsCacheGeometry g;
 #ifdef _SC_LEVEL1_DCACHE_SIZE
-  long v = sysconf(name);
-  if (v > 0) return static_cast<size_t>(v);
-#else
-  (void)name;
+    auto read = [](int name) {
+      long v = sysconf(name);
+      return v > 0 ? static_cast<size_t>(v) : size_t{0};
+    };
+    g.l1_bytes = read(_SC_LEVEL1_DCACHE_SIZE);
+    g.l1_line = read(_SC_LEVEL1_DCACHE_LINESIZE);
+    g.l2_bytes = read(_SC_LEVEL2_CACHE_SIZE);
+    g.l2_line = read(_SC_LEVEL2_CACHE_LINESIZE);
 #endif
-  return fallback;
+    return g;
+  }();
+  return geometry;
 }
 
-}  // namespace
-
-size_t MeasuredL2CacheBytes() {
-#ifdef _SC_LEVEL2_CACHE_SIZE
-  static const size_t bytes = SysconfOr(_SC_LEVEL2_CACHE_SIZE, 0);
-  return bytes;
-#else
-  return 0;
-#endif
+/// The chase stride that puts one pointer per cache line.
+size_t ChaseLineBytes() {
+  size_t line = OsCaches().l1_line;
+  return line != 0 && IsPowerOfTwo(line) ? line : 64;
 }
 
-namespace {
-
+/// The host's large-copy cost in ns per byte: a memory-to-memory copy over
+/// an L2-spilling buffer; 0 when the clock cannot resolve it.
 double MeasureCopyNsPerByte() {
   // 8 MB source/destination: past L2 on any profiled machine, so the copy
   // streams through memory like a sequential scan does. Best of a few
@@ -96,65 +101,22 @@ double MeasureCopyNsPerByte() {
   return best_ns / static_cast<double>(kBytes);
 }
 
-}  // namespace
-
-double MeasuredCopyNsPerByte() {
-  static const double ns_per_byte = MeasureCopyNsPerByte();
-  return ns_per_byte;
-}
-
-namespace {
-
-/// Random chase over `slots` pointers placed `stride_bytes` apart in a
-/// buffer that is pinned to base pages (arena block, HugePolicy::kDisable):
-/// under THP=always, a malloc'd probe buffer would get huge-backed and the
-/// TLB probe would see no misses at all.
-double ChaseBasePagesNs(size_t slots, size_t stride_bytes, size_t iters) {
-  slots = std::max<size_t>(slots, 2);
-  size_t bytes = slots * stride_bytes;
-  void* block = arena::AllocateBlock(bytes, arena::HugePolicy::kDisable);
-  uint8_t* base = static_cast<uint8_t*>(block);
-
-  std::vector<uint32_t> perm(slots);
-  std::iota(perm.begin(), perm.end(), 0u);
-  Rng rng(0xC0FFEE);
-  for (size_t i = slots - 1; i > 0; --i) {
-    size_t j = rng.NextBelow(i);  // Sattolo: j < i gives a single cycle
-    std::swap(perm[i], perm[j]);
-  }
-  auto slot_ptr = [&](size_t s) {
-    return reinterpret_cast<uint64_t*>(base + s * stride_bytes);
-  };
-  for (size_t i = 0; i < slots; ++i) {
-    *slot_ptr(i) = reinterpret_cast<uint64_t>(slot_ptr(perm[i]));
-  }
-
-  volatile uint64_t* p = slot_ptr(0);
-  for (size_t i = 0; i < slots; ++i) p = reinterpret_cast<uint64_t*>(*p);
-  WallTimer t;
-  for (size_t i = 0; i < iters; ++i) {
-    p = reinterpret_cast<uint64_t*>(*p);
-  }
-  double ns =
-      static_cast<double>(t.ElapsedNanos()) / static_cast<double>(iters);
-  if (reinterpret_cast<uint64_t>(p) == 1) std::abort();
-  arena::FreeBlock(block);
-  return ns;
-}
-
 TlbInfo MeasureTlbGeometry() {
   TlbInfo info;
   info.page_bytes = arena::BasePageBytes();
-  if (std::getenv("CCDB_NO_CALIBRATION") != nullptr) return info;
+  const size_t line = ChaseLineBytes();
 
-  size_t line = SysconfOr(
-#ifdef _SC_LEVEL1_DCACHE_LINESIZE
-      _SC_LEVEL1_DCACHE_LINESIZE,
-#else
-      0,
-#endif
-      64);
-  if (line == 0 || !IsPowerOfTwo(line)) line = 64;
+  // One chase arm over a buffer pinned to base pages (arena block,
+  // HugePolicy::kDisable): under THP=always, a malloc'd probe buffer would
+  // get huge-backed and the TLB probe would see no misses at all.
+  auto arm_ns = [](size_t slots, size_t stride_bytes, size_t iters) {
+    void* block =
+        arena::AllocateBlock(slots * stride_bytes, arena::HugePolicy::kDisable);
+    double ns =
+        ChaseNs(static_cast<uint8_t*>(block), slots, stride_bytes, iters);
+    arena::FreeBlock(block);
+    return ns;
+  };
 
   // Page counts to probe: dense enough around typical L1/L2 TLB sizes
   // (64, 1024, 1536, 2048) to bracket the reach within ~1.5x.
@@ -168,10 +130,10 @@ TlbInfo MeasureTlbGeometry() {
   for (size_t pages : kPages) {
     // TLB arm: one slot per page; page+line stride keeps the chased lines
     // from aliasing in the caches.
-    double tlb_arm = ChaseBasePagesNs(pages, info.page_bytes + line, kIters);
+    double tlb_arm = arm_ns(pages, info.page_bytes + line, kIters);
     // Baseline arm: same number of cache lines, packed densely so the page
     // footprint stays tiny. The difference isolates translation cost.
-    double base_arm = ChaseBasePagesNs(pages, line, kIters);
+    double base_arm = arm_ns(pages, line, kIters);
     diff.push_back(std::max(tlb_arm - base_arm, 0.0));
   }
 
@@ -204,6 +166,15 @@ TlbInfo MeasureTlbGeometry() {
 
 }  // namespace
 
+double MeasureChaseNs(size_t ws_bytes, size_t stride_bytes,
+                      size_t iterations) {
+  size_t slots = std::max<size_t>(ws_bytes / stride_bytes, 2);
+  AlignedBuffer buf(slots * stride_bytes, 4096);
+  return ChaseNs(buf.data(), slots, stride_bytes, iterations);
+}
+
+size_t MeasuredL2CacheBytes() { return OsCaches().l2_bytes; }
+
 const TlbInfo& MeasuredTlbGeometry() {
   static const TlbInfo info = MeasureTlbGeometry();
   return info;
@@ -212,26 +183,20 @@ const TlbInfo& MeasuredTlbGeometry() {
 const MachineProfile& MeasuredHostProfile() {
   static const MachineProfile profile = [] {
     MachineProfile m = MachineProfile::GenericX86();
-    if (std::getenv("CCDB_NO_CALIBRATION") != nullptr) return m;
     m.name = "measured-host";
-#ifdef _SC_LEVEL1_DCACHE_SIZE
-    size_t l1_bytes = SysconfOr(_SC_LEVEL1_DCACHE_SIZE, 0);
-    size_t l1_line = SysconfOr(_SC_LEVEL1_DCACHE_LINESIZE, 0);
-    size_t l2_bytes = SysconfOr(_SC_LEVEL2_CACHE_SIZE, 0);
-    size_t l2_line = SysconfOr(_SC_LEVEL2_CACHE_LINESIZE, 0);
-    if (l1_bytes != 0 && l1_line != 0 && IsPowerOfTwo(l1_line)) {
-      m.l1.capacity_bytes = NextPowerOfTwo(l1_bytes);
-      m.l1.line_bytes = l1_line;
+    const OsCacheGeometry& os = OsCaches();
+    if (os.l1_bytes != 0 && os.l1_line != 0 && IsPowerOfTwo(os.l1_line)) {
+      m.l1.capacity_bytes = NextPowerOfTwo(os.l1_bytes);
+      m.l1.line_bytes = os.l1_line;
     }
-    if (l2_bytes != 0 && l2_line != 0 && IsPowerOfTwo(l2_line)) {
-      m.l2.capacity_bytes = NextPowerOfTwo(l2_bytes);
-      m.l2.line_bytes = l2_line;
+    if (os.l2_bytes != 0 && os.l2_line != 0 && IsPowerOfTwo(os.l2_line)) {
+      m.l2.capacity_bytes = NextPowerOfTwo(os.l2_bytes);
+      m.l2.line_bytes = os.l2_line;
     }
-#endif
     // Quick 3-point latency probe (a few ms; the full Calibrate() curve is
     // for reports, this is the per-process planning default).
     constexpr size_t kQuickIters = size_t{1} << 16;
-    size_t line = m.l1.line_bytes != 0 ? m.l1.line_bytes : 64;
+    const size_t line = ChaseLineBytes();
     double l1_hit = MeasureChaseNs(16 * 1024, line, kQuickIters);
     double l2_hit = MeasureChaseNs(256 * 1024, line, kQuickIters);
     double mem_hit =
@@ -256,7 +221,7 @@ const MachineProfile& MeasuredHostProfile() {
     // is several times cheaper than the dependent-load lMem, and pricing
     // the models' sequential-sweep terms at lMem is exactly what made
     // their wall-clock predictions 5-15x pessimistic.
-    double copy_ns_per_byte = MeasuredCopyNsPerByte();
+    double copy_ns_per_byte = MeasureCopyNsPerByte();
     if (copy_ns_per_byte > 0) {
       double seq = copy_ns_per_byte * static_cast<double>(m.l2.line_bytes);
       if (seq < m.lat.mem_ns) m.lat.mem_seq_ns = std::max(seq, 0.5);
@@ -268,65 +233,14 @@ const MachineProfile& MeasuredHostProfile() {
 
 CalibrationReport Calibrate() {
   CalibrationReport rep;
-#ifdef _SC_LEVEL1_DCACHE_SIZE
-  rep.l1_bytes = SysconfOr(_SC_LEVEL1_DCACHE_SIZE, 0);
-  rep.l1_line = SysconfOr(_SC_LEVEL1_DCACHE_LINESIZE, 0);
-  rep.l2_bytes = SysconfOr(_SC_LEVEL2_CACHE_SIZE, 0);
-  rep.l2_line = SysconfOr(_SC_LEVEL2_CACHE_LINESIZE, 0);
-#endif
-  size_t line = rep.l1_line != 0 ? rep.l1_line : 64;
-
-  // Latency curve: 8 KB .. 64 MB working sets, one pointer per line so
-  // every access misses spatially.
+  // 8 KB .. 64 MB working sets, one pointer per line so every access
+  // misses spatially.
+  const size_t line = ChaseLineBytes();
   constexpr size_t kIters = 1 << 19;
   for (size_t ws = 8 * 1024; ws <= 64 * 1024 * 1024; ws *= 2) {
     rep.latency_curve.push_back({ws, MeasureChaseNs(ws, line, kIters)});
   }
-
-  // Plateau picks: smallest set = L1 hit; a set twice L1 (but well inside
-  // L2) = L2 hit; the largest set = memory.
-  auto at_ws = [&](size_t target) {
-    double best = rep.latency_curve.front().ns_per_access;
-    for (const auto& pt : rep.latency_curve) {
-      if (pt.working_set_bytes <= target) best = pt.ns_per_access;
-    }
-    return best;
-  };
-  size_t l1 = rep.l1_bytes != 0 ? rep.l1_bytes : 32 * 1024;
-  size_t l2 = rep.l2_bytes != 0 ? rep.l2_bytes : 1024 * 1024;
-  rep.l1_ns = rep.latency_curve.front().ns_per_access;
-  double l2_hit_ns = at_ws(std::max(l1 * 2, size_t{64} * 1024));
-  double mem_hit_ns = rep.latency_curve.back().ns_per_access;
-  // Penalties are measured latency minus the level above.
-  rep.l2_ns = std::max(l2_hit_ns - rep.l1_ns, 0.5);
-  rep.mem_ns = std::max(mem_hit_ns - l2_hit_ns, 1.0);
-  (void)l2;
-
-  // TLB estimate: chase with page stride over many pages (every access is a
-  // TLB miss but the lines conflict little); subtract the memory latency.
-  double page_chase = MeasureChaseNs(64 * 1024 * 1024, 4096, kIters / 4);
-  rep.tlb_ns = std::max(page_chase - mem_hit_ns - rep.l2_ns - rep.l1_ns, 0.0);
   return rep;
-}
-
-MachineProfile CalibratedHostProfile() {
-  CalibrationReport rep = Calibrate();
-  MachineProfile m = MachineProfile::GenericX86();
-  m.name = "calibrated-host";
-  if (rep.l1_bytes != 0 && rep.l1_line != 0 &&
-      IsPowerOfTwo(rep.l1_line)) {
-    m.l1.capacity_bytes = NextPowerOfTwo(rep.l1_bytes);
-    m.l1.line_bytes = rep.l1_line;
-  }
-  if (rep.l2_bytes != 0 && rep.l2_line != 0 &&
-      IsPowerOfTwo(rep.l2_line)) {
-    m.l2.capacity_bytes = NextPowerOfTwo(rep.l2_bytes);
-    m.l2.line_bytes = rep.l2_line;
-  }
-  m.lat.l2_ns = rep.l2_ns;
-  m.lat.mem_ns = rep.mem_ns;
-  m.lat.tlb_ns = std::max(rep.tlb_ns, 1.0);
-  return m;
 }
 
 }  // namespace ccdb

@@ -3,6 +3,11 @@
 // lMem=412ns, wc=50ns") and of the Calibrator tool the authors later
 // released. Uses a dependent-load pointer chase so the measured latency is
 // the true (unoverlapped) access latency.
+//
+// MeasuredHostProfile() is the one host profile: the planner prices with
+// it, and bench `--profile=host`, `calibrate_host` and `cache_explorer`
+// print and use the same numbers. Calibrate() only adds the full latency
+// curve for reports.
 #ifndef CCDB_MODEL_CALIBRATOR_H_
 #define CCDB_MODEL_CALIBRATOR_H_
 
@@ -22,13 +27,6 @@ struct CalibrationPoint {
 struct CalibrationReport {
   /// Latency curve: random pointer chase over growing working sets.
   std::vector<CalibrationPoint> latency_curve;
-  /// Estimated latencies (plateau detection over the curve).
-  double l1_ns = 0;    ///< hit latency of L1 (smallest working sets)
-  double l2_ns = 0;    ///< lL2: L1-miss penalty
-  double mem_ns = 0;   ///< lMem: L2-miss penalty
-  double tlb_ns = 0;   ///< lTLB estimate (page-stride chase)
-  /// Cache geometry as reported by the OS (sysconf), 0 when unknown.
-  size_t l1_bytes = 0, l1_line = 0, l2_bytes = 0, l2_line = 0;
 };
 
 /// Measures one random pointer chase: `ws_bytes` working set, one pointer
@@ -36,22 +34,13 @@ struct CalibrationReport {
 double MeasureChaseNs(size_t ws_bytes, size_t stride_bytes,
                       size_t iterations = 1 << 20);
 
-/// The host's L2 capacity as the calibration layer measures it (OS-reported
-/// geometry, the same source CalibrationReport::l2_bytes uses). Cached
-/// after the first call — cheap enough to consult per plan — and 0 when the
+/// The host's L2 capacity as the OS reports it (sysconf), 0 when the
 /// platform doesn't report cache sizes, in which case callers fall back to
-/// their static MachineProfile. Consumed by DefaultScanChunkRows
-/// (model/planner.h) to size cache-resident scan chunks for the actual
-/// host instead of the generic profile.
+/// their static MachineProfile. Cached after the first call — cheap enough
+/// to consult per plan. Consumed by DefaultScanChunkRows (model/planner.h)
+/// to size cache-resident scan chunks for the actual host instead of the
+/// generic profile.
 size_t MeasuredL2CacheBytes();
-
-/// The host's large-copy bandwidth as ns per byte, measured with a
-/// memory-to-memory copy over an L2-spilling buffer. Cached after the first
-/// call (one ~milliseconds measurement per process); returns 0 when the
-/// clock cannot resolve the copy. Consumed by MeasuredHostProfile(), which
-/// prices one sequential (prefetched) cache-line miss as one line of this
-/// copy stream (MachineProfile::lat.mem_seq_ns).
-double MeasuredCopyNsPerByte();
 
 /// The host's TLB as measured by a differential page-stride pointer chase
 /// (the Calibrator tool's method): for a growing number of pages P, chase
@@ -74,19 +63,16 @@ struct TlbInfo {
 /// (HugePolicy::kDisable) so THP=always hosts cannot silently void it.
 const TlbInfo& MeasuredTlbGeometry();
 
-/// The planner's default host profile: GenericX86 geometry refined with
-/// sysconf cache sizes, a quick 3-point latency probe (L1/L2/memory) and
-/// MeasuredTlbGeometry(). Cached after the first call. Falls back to plain
-/// GenericX86 when measurement is unavailable or inconsistent (and always
-/// under CCDB_NO_CALIBRATION=1, the deterministic-CI escape hatch).
+/// The host profile: GenericX86 geometry refined with the OS-reported
+/// cache sizes, a quick 3-point latency probe (lL2, lMem), the sequential
+/// miss priced as one L2 line of measured copy bandwidth (mem_seq_ns) and
+/// MeasuredTlbGeometry(). Cached after the first call. Keeps GenericX86's
+/// latencies (name "measured-host(static-lat)") when the latency probe is
+/// inconsistent, and its TLB when the TLB probe is inconclusive.
 const MachineProfile& MeasuredHostProfile();
 
-/// Runs the full calibration (sub-second with default settings).
+/// Measures the full latency curve (sub-second with default settings).
 CalibrationReport Calibrate();
-
-/// A MachineProfile for the host: geometry from sysconf (falling back to
-/// GenericX86 values), latencies from Calibrate().
-MachineProfile CalibratedHostProfile();
 
 }  // namespace ccdb
 

@@ -684,16 +684,13 @@ StatusOr<PhysicalPlan> Planner::Lower(const LogicalPlan& plan) const {
   auto costs =
       std::make_unique<std::vector<OpCostInfo>>(CountNodes(plan.root()));
   // Resolve ExecOptions into the context the operators borrow: parallelism
-  // 0 means every hardware thread; a null pool means the process-shared
-  // one (only reached for, and lazily created at, parallelism > 1).
+  // 0 means every hardware thread; above 1 the operators draw workers from
+  // the process-shared pool (lazily created here).
   auto ctx = std::make_unique<ExecContext>();
   ctx->parallelism = options_.exec.parallelism == 0
                          ? ThreadPool::HardwareThreads()
                          : options_.exec.parallelism;
-  ctx->pool = options_.exec.pool;
-  if (ctx->pool == nullptr && ctx->parallelism > 1) {
-    ctx->pool = &ThreadPool::Shared();
-  }
+  if (ctx->parallelism > 1) ctx->pool = &ThreadPool::Shared();
   ctx->sched = options_.exec.sched;
   ctx->shared_scans = options_.exec.shared_scans;
   size_t chunk_rows = options_.exec.scan_chunk_rows;
@@ -802,11 +799,9 @@ StatusOr<QueryResult> PhysicalPlan::Execute() {
   }
   root_->Close();
   if (hw_on) {
-    uint64_t cycles = 0;
-    StatusOr<MemEvents> events = hw.Stop(&cycles);
+    StatusOr<MemEvents> events = hw.Stop();
     if (events.ok()) {
       hw_events_ = *events;
-      hw_cycles_ = cycles;
       hw_valid_ = true;
     }
   }

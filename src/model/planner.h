@@ -144,12 +144,6 @@ class PhysicalPlan {
   /// alone; run Execute() first to populate the measured side.
   std::string ExplainCosts() const;
 
-  /// Hardware events (cycles, L1/LLC/dTLB misses) captured on the driver
-  /// thread across the last successful Execute(), via perf_event_open.
-  /// nullptr when perf is unavailable (locked-down kernels, containers) —
-  /// ExplainCosts() then says so instead of printing fiction.
-  const MemEvents* hw_events() const { return hw_valid_ ? &hw_events_ : nullptr; }
-
   /// The resolved execution context the operators run with.
   const ExecContext& context() const { return *ctx_; }
 
@@ -188,8 +182,10 @@ class PhysicalPlan {
   std::unique_ptr<std::vector<OpCostInfo>> costs_;    // stable addresses
   std::unique_ptr<ExecContext> ctx_;                  // borrowed by operators
   MachineProfile profile_;
-  MemEvents hw_events_;     // driver-thread perf counters, last Execute()
-  uint64_t hw_cycles_ = 0;
+  // Driver-thread perf counters (L1/LLC/dTLB misses) across the last
+  // successful Execute(); invalid when perf is unavailable, and
+  // ExplainCosts() then says so instead of printing fiction.
+  MemEvents hw_events_;
   bool hw_valid_ = false;
 };
 

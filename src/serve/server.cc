@@ -8,6 +8,10 @@ namespace ccdb {
 
 namespace {
 
+// Morsels a running query's pool-worker drives execute before yielding the
+// worker when other queries are in flight (fair mode only).
+constexpr uint32_t kMorselQuantum = 4;
+
 // Binds the server's filter cache (possibly null) into the planner options
 // so every Lower() — direct or via the plan cache's initial miss — emits
 // Selects that consult it.
@@ -74,7 +78,7 @@ StatusOr<QueryTicket> Server::Submit(const LogicalPlan& plan,
     state->sched.deadline = state->submit_time + options.timeout;
   }
   if (options_.fair) {
-    state->sched.morsel_quantum = options_.morsel_quantum;
+    state->sched.morsel_quantum = kMorselQuantum;
     state->sched.active_queries = &active_;
   }
   {
@@ -192,17 +196,12 @@ void Server::Process(const RequestPtr& req) {
 
   active_.fetch_add(1, std::memory_order_relaxed);
   WallTimer timer;
-  bool cache_hit = false;
   Status status;
   QueryResult result;
 
-  uint64_t key = 0;
-  std::optional<PhysicalPlan> physical;
-  if (options_.use_plan_cache) {
-    key = PlanFingerprint(*req->plan);
-    physical = cache_.Acquire(key, *req->plan);
-    cache_hit = physical.has_value();
-  }
+  const uint64_t key = PlanFingerprint(*req->plan);
+  std::optional<PhysicalPlan> physical = cache_.Acquire(key, *req->plan);
+  const bool cache_hit = physical.has_value();
   if (!physical.has_value()) {
     Planner planner(options_.planner);
     auto lowered = planner.Lower(*req->plan);
@@ -220,7 +219,7 @@ void Server::Process(const RequestPtr& req) {
     } else {
       status = res.status();
     }
-    if (options_.use_plan_cache && status.ok()) {
+    if (status.ok()) {
       // Only clean executions go back in the pool: a cancelled plan's
       // operators were closed mid-stream, which Open() resets anyway, but
       // there is no point pooling for a workload that is being cancelled.

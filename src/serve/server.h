@@ -60,16 +60,11 @@ struct ServerOptions {
   PlannerOptions planner;
 
   /// true: deficit weighted round-robin across scheduling classes, plus
-  /// morsel-quantum yielding on the shared pool. false: global FIFO
-  /// dispatch and no yielding — the naive baseline.
+  /// morsel-quantum yielding on the shared pool: a running query's
+  /// pool-worker drives yield the worker after 4 morsels when other
+  /// queries are in flight. false: global FIFO dispatch and no yielding —
+  /// the naive baseline.
   bool fair = true;
-
-  /// Morsels a running query's pool-worker drives execute before yielding
-  /// the worker when other queries are in flight (fair mode only). 0 never
-  /// yields.
-  uint32_t morsel_quantum = 4;
-
-  bool use_plan_cache = true;
 
   /// true: the server owns a FilterCache (exec/filter_cache.h) and every
   /// Select directly over a base-table scan reuses the survivor lists of an

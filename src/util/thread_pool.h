@@ -49,8 +49,7 @@ class ThreadPool {
   static size_t HardwareThreads();
 
   /// The lazily created process-wide pool (HardwareThreads() workers).
-  /// Queries that don't pass their own pool share this one — the "shared
-  /// thread pool" every plan's operators draw workers from.
+  /// The "shared thread pool" every plan's operators draw workers from.
   static ThreadPool& Shared();
 
  private:

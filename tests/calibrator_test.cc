@@ -1,5 +1,5 @@
 // Calibrator smoke tests: measurements are positive and ordered sensibly,
-// and the derived host profile validates. (Absolute values are
+// and the host profile the planner prices with validates. (Absolute values are
 // machine-dependent by design; these tests assert structure, not numbers.)
 #include <gtest/gtest.h>
 
@@ -29,16 +29,12 @@ TEST(CalibratorTest, ReportIsStructurallySound) {
     EXPECT_GT(pt.working_set_bytes, 0u);
     EXPECT_GT(pt.ns_per_access, 0.0);
   }
-  EXPECT_GT(rep.l1_ns, 0.0);
-  EXPECT_GT(rep.l2_ns, 0.0);
-  EXPECT_GT(rep.mem_ns, 0.0);
-  EXPECT_GE(rep.tlb_ns, 0.0);
 }
 
 TEST(CalibratorTest, HostProfileValidates) {
-  MachineProfile m = CalibratedHostProfile();
+  const MachineProfile& m = MeasuredHostProfile();
   EXPECT_TRUE(m.Validate().ok()) << m.Validate().ToString();
-  EXPECT_EQ(m.name, "calibrated-host");
+  EXPECT_EQ(m.name.rfind("measured-host", 0), 0u) << m.name;
   EXPECT_GT(m.lat.mem_ns, 0.0);
 }
 

@@ -666,6 +666,74 @@ TEST(JoinTypeTest, LeftOuterAgainstEmptyInnerNullExtendsEverything) {
   }
 }
 
+TEST(JoinTypeTest, LeftOuterOverAggregateInnerMatchesOracle) {
+  // The inner is GroupByAgg output, so every inner column is owned: the u32
+  // group key, the decoded string key, an i64 sum and an f64 avg. The probe
+  // spans several chunks, and prio 0 and 6 match no qty (1..5), so nulls
+  // interleave with 4-way matches.
+  constexpr size_t kItems = 6000;
+  constexpr size_t kOrders = 20000;
+  Table items = *Table::FromRowStore(MakeItems(kItems));
+  Table orders = MakeOrders(kOrders);
+  auto build = [&]() {
+    QueryBuilder inner(items);
+    inner.GroupByAgg({"qty", "shipmode"},
+                     {Agg::Sum("order"), Agg::Avg("order")});
+    auto plan = QueryBuilder(orders)
+                    .Join(std::move(inner), "prio", "qty",
+                          JoinType::kLeftOuter)
+                    .Build();
+    CCDB_CHECK(plan.ok());
+    return *std::move(plan);
+  };
+
+  // Plain-loop oracle: aggregate per (qty, shipmode), then null-extend or
+  // expand every probe row in probe order.
+  const char* modes[] = {"MAIL", "AIR", "TRUCK", "SHIP"};
+  std::map<std::pair<uint32_t, std::string>, OracleAgg> groups;
+  for (size_t i = 0; i < kItems; ++i) {
+    OracleAgg& g = groups[{static_cast<uint32_t>(1 + i % 5), modes[i % 4]}];
+    g.sum += i / 3;
+    g.count += 1;
+  }
+  using Row =
+      std::tuple<uint32_t, uint32_t, uint32_t, std::string, int64_t, double>;
+  std::vector<Row> expect;
+  for (uint32_t o = 0; o < kOrders; ++o) {
+    const uint32_t prio = o % 7;
+    bool matched = false;
+    for (const auto& [key, g] : groups) {
+      if (key.first != prio) continue;
+      matched = true;
+      expect.emplace_back(o, prio, prio, key.second,
+                          static_cast<int64_t>(g.sum),
+                          static_cast<double>(g.sum) /
+                              static_cast<double>(g.count));
+    }
+    if (!matched) expect.emplace_back(o, prio, 0u, "", int64_t{0}, 0.0);
+  }
+  std::vector<uint32_t> expect_probe_order;
+  for (const Row& row : expect) expect_probe_order.push_back(std::get<0>(row));
+  std::sort(expect.begin(), expect.end());
+
+  for (size_t par : {1u, 2u, 8u}) {
+    QueryResult r = RunPlan(build(), par);
+    ASSERT_EQ(r.num_columns(), 6u) << par;
+    ASSERT_EQ(r.num_rows(), expect.size()) << par;
+    // Probe order survives; which match of a probe row comes first follows
+    // the aggregate's output order, which parallelism may change.
+    EXPECT_EQ(r.columns[0].u32_values, expect_probe_order) << par;
+    std::vector<Row> got;
+    for (size_t i = 0; i < r.num_rows(); ++i) {
+      got.emplace_back(r.columns[0].u32_values[i], r.columns[1].u32_values[i],
+                       r.columns[2].u32_values[i], r.columns[3].str_values[i],
+                       r.columns[4].i64_values[i], r.columns[5].f64_values[i]);
+    }
+    std::sort(got.begin(), got.end());
+    EXPECT_TRUE(got == expect) << "parallelism " << par;
+  }
+}
+
 TEST(JoinTypeTest, InnerJoinUnchangedByTypeParameter) {
   JoinFixture f;
   auto implicit = QueryBuilder(f.left).Join(f.right, "k", "id").Build();
